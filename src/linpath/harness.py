@@ -185,21 +185,26 @@ def exhaustive_check(n: int, delta: int, t: int) -> VerificationReport:
     return report
 
 
-def _generate(config: ExperimentConfig, trial: int, tseed: int) -> Hypergraph:
-    if config.generator == "conditioned-random":
-        return random_min_degree_graph(config.n, config.min_degree, tseed)
-    if config.generator == "construction":
-        k = max(1, (config.t - 1) // 2)
-        return gen_star(3, config.n, k)
-    graphs = oracle.enumerate_hypergraphs(
-        config.n, lambda h: h.min_degree() >= config.min_degree
-    )
-    picked = next(islice(graphs, trial, None), None)
-    if picked is None:
-        raise InvalidParameterError(
-            f"exhaustive generator ran out of graphs at trial {trial}"
+def _hosts(config: ExperimentConfig):
+    """(trial seed, host) for each trial in turn.  The exhaustive generator
+    walks one filtered enumeration, so trial i gets its i-th graph."""
+    if config.generator == "exhaustive":
+        graphs = oracle.enumerate_hypergraphs(
+            config.n, lambda h: h.min_degree() >= config.min_degree
         )
-    return picked
+    for trial in range(config.trials):
+        tseed = (config.seed * 1_000_003 + trial) & 0xFFFFFFFFFFFFFFFF
+        if config.generator == "conditioned-random":
+            H = random_min_degree_graph(config.n, config.min_degree, tseed)
+        elif config.generator == "construction":
+            H = gen_star(3, config.n, max(1, (config.t - 1) // 2))
+        else:
+            H = next(graphs, None)
+            if H is None:
+                raise InvalidParameterError(
+                    f"exhaustive generator ran out of graphs at trial {trial}"
+                )
+        yield tseed, H
 
 
 def run_trials(config: ExperimentConfig) -> TrialsResult:
@@ -211,9 +216,7 @@ def run_trials(config: ExperimentConfig) -> TrialsResult:
     counterexamples: List[Tuple[str, str]] = []
     successes = 0
     bound, min_n = theorem_threshold(config.n, config.t)
-    for trial in range(config.trials):
-        tseed = (config.seed * 1_000_003 + trial) & 0xFFFFFFFFFFFFFFFF
-        H = _generate(config, trial, tseed)
+    for trial, (tseed, H) in enumerate(_hosts(config)):
         moves = [0]
         start = time.perf_counter()
         result = find_guaranteed(

@@ -7,11 +7,20 @@ its extension endpoint, which determine all possible continuations).
 Returned witnesses validate themselves before being handed out, and are
 deterministic: the lexicographically least found under a fixed expansion
 order.
+
+The path search also breaks symmetry between twins, vertices whose swap
+is an automorphism (the tails, and the heads, of the star constructions).
+At each step it tries a fresh vertex only if no smaller twin of it is
+unused: a path through the skipped vertex maps, by swapping the two, onto
+one with the same prefix that is lexicographically smaller, so the least
+witness survives and the dead-state memo stays exact.  Twin classes are
+computed lazily, at the first dead state, so searches that never backtrack
+pay nothing for them, and a search budget counts the states of the pruned
+search.  Path enumeration and the cycle searches are not pruned.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Callable, Iterator, Optional
 
 from .errors import (
@@ -39,20 +48,56 @@ def _extension_table(H: Hypergraph):
     return [sorted(t) for t in table]
 
 
-def _start_sequences(H: Hypergraph):
-    """All 6 ordered readings of every edge, globally sorted."""
-    starts = []
-    for e in H.edges:
-        starts += list(permutations(e))
-    return sorted(starts)
+def _twins_below(H: Hypergraph):
+    """For each vertex v, the bitmask of its twins u < v.
+
+    u and v are twins when swapping them is an automorphism: {v, a, b} is
+    an edge for every edge {u, a, b} with v outside it, and vice versa.
+    Twinness is an equivalence relation, so each vertex is tested against
+    one representative of every class found so far.
+    """
+    below = [0] * H.n
+    classes = []  # [representative, bitmask of the class members so far]
+    for v in range(H.n):
+        for cls in classes:
+            if _are_twins(H, cls[0], v):
+                below[v] = cls[1]
+                cls[1] |= 1 << v
+                break
+        else:
+            classes.append([v, 1 << v])
+    return below
+
+
+def _are_twins(H: Hypergraph, u: int, v: int) -> bool:
+    # equal degrees make the map {u,a,b} -> {v,a,b} onto, given it is into
+    if H.degree(u) != H.degree(v):
+        return False
+    return all(
+        v in e or H.has_edge([v if x == u else x for x in e])
+        for e in H.incident_edges(u)
+    )
 
 
 def find_path(H: Hypergraph, t: int, budget: Optional[int] = None) -> Optional[LinearPath]:
     """A linear t-path, or None only when no such path exists.
 
-    Depth-first over partial paths extended one edge at a time at the right
-    end; dead (used-set, endpoint) states are memoized, which keeps the
-    search complete while collapsing the exponential blowup on dense hosts.
+    Depth-first from each start vertex in increasing order, over partial
+    paths extended one edge at a time at the right end; dead (used-set,
+    endpoint) states are memoized, which keeps the search complete while
+    collapsing the exponential blowup on dense hosts.  The witness is the
+    lexicographically least vertex sequence of a linear t-path.
+
+    Twin classes are tried through one representative.  At each step the
+    new middle vertex is skipped when one of its smaller twins is unused,
+    and the new endpoint when one of its smaller twins is unused and is
+    not that middle vertex; start vertices follow the same rule.  Swapping
+    a skipped vertex with that twin maps any completion onto a path with
+    the same prefix and a smaller vertex at this position, so no state is
+    wrongly declared dead and the least witness is never skipped.  The
+    twin classes are computed at the first dead state: a search that never
+    backtracks already meets the least witness first.  ``budget`` caps the
+    expanded states of this pruned search, start vertices included.
     """
     if H.r != 3:
         raise NotPairUniformError("path search implemented for 3-graphs only")
@@ -62,6 +107,7 @@ def find_path(H: Hypergraph, t: int, budget: Optional[int] = None) -> Optional[L
         return None
     ext = _extension_table(H)
     dead = set()
+    below = [0] * H.n  # smaller twins per vertex, filled at the first dead state
     nodes = 0
 
     def dfs(seq, mask, s):
@@ -75,21 +121,29 @@ def find_path(H: Hypergraph, t: int, budget: Optional[int] = None) -> Optional[L
         nodes += 1
         if budget is not None and nodes > budget:
             raise SearchExhaustedError(f"path search exceeded {budget} nodes")
+        free = ~mask
         for w1, w2 in ext[last]:
             bits = (1 << w1) | (1 << w2)
-            if bits & mask:
+            if bits & mask or below[w1] & free or below[w2] & free & ~bits:
                 continue
             hit = dfs(seq + [w1, w2], mask | bits, s + 1)
             if hit is not None:
                 return hit
+        if not dead:
+            below[:] = _twins_below(H)
         dead.add(key)
         return None
 
-    for a, b, c in _start_sequences(H):
-        hit = dfs([a, b, c], (1 << a) | (1 << b) | (1 << c), 1)
-        if hit is not None:
-            return LinearPath(tuple(hit)).validate(H)
-    return None
+    try:
+        for a in range(H.n):
+            if below[a]:
+                continue
+            hit = dfs([a], 1 << a, 0)
+            if hit is not None:
+                return LinearPath(tuple(hit)).validate(H)
+        return None
+    finally:
+        del dfs  # the closure refers to itself; free the memo now, not at gc
 
 
 def iter_paths(H: Hypergraph, t: int) -> Iterator[LinearPath]:
@@ -113,8 +167,8 @@ def iter_paths(H: Hypergraph, t: int) -> Iterator[LinearPath]:
                 continue
             yield from dfs(seq + [w1, w2], mask | bits, s + 1)
 
-    for a, b, c in _start_sequences(H):
-        yield from dfs([a, b, c], (1 << a) | (1 << b) | (1 << c), 1)
+    for a in range(H.n):
+        yield from dfs([a], 1 << a, 0)
 
 
 def longest_path(H: Hypergraph, cap: int, budget: Optional[int] = None):
@@ -168,15 +222,18 @@ def find_cycle(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[
                 return hit
         return None
 
-    for z0 in range(H.n):
-        for w1, w2 in ext[z0]:
-            if w2 <= z0:
-                continue
-            bits = (1 << z0) | (1 << w1) | (1 << w2)
-            hit = dfs([z0, w1, w2], bits, 1)
-            if hit is not None:
-                return LinearCycle(tuple(hit)).validate(H)
-    return None
+    try:
+        for z0 in range(H.n):
+            for w1, w2 in ext[z0]:
+                if w2 <= z0:
+                    continue
+                bits = (1 << z0) | (1 << w1) | (1 << w2)
+                hit = dfs([z0, w1, w2], bits, 1)
+                if hit is not None:
+                    return LinearCycle(tuple(hit)).validate(H)
+        return None
+    finally:
+        del dfs  # the closure refers to itself
 
 
 def find_cycle_plus(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[CyclePlusWitness]:

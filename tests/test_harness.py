@@ -1,7 +1,9 @@
 import random
+from itertools import islice
 
 import pytest
 
+from linpath import oracle
 from linpath.constructions import gen_star, theorem_threshold
 from linpath.errors import InfeasibleDegreeError, InvalidParameterError
 from linpath.harness import (
@@ -154,6 +156,34 @@ class TestRunTrials:
         )
         result = run_trials(cfg)
         assert result.success_rate == 1.0
+
+    def test_exhaustive_generator_enumerates_once(self, monkeypatch):
+        calls = []
+        enumerate_hypergraphs = oracle.enumerate_hypergraphs
+
+        def counting(*args):
+            calls.append(args)
+            return enumerate_hypergraphs(*args)
+
+        monkeypatch.setattr(oracle, "enumerate_hypergraphs", counting)
+        cfg = ExperimentConfig(
+            n=5, t=1, min_degree=1, trials=40, seed=0, generator="exhaustive"
+        )
+        result = run_trials(cfg)
+        assert len(calls) == 1
+        # trial i is the i-th graph of the filtered enumeration
+        graphs = enumerate_hypergraphs(5, lambda h: h.min_degree() >= 1)
+        assert [row[3] for row in result.rows[:-1]] == [
+            str(H.min_degree()) for H in islice(graphs, 40)
+        ]
+
+    def test_exhaustive_generator_runs_out(self):
+        # exactly 86 graphs on 5 vertices have min degree >= 4
+        cfg = ExperimentConfig(
+            n=5, t=2, min_degree=4, trials=87, seed=0, generator="exhaustive"
+        )
+        with pytest.raises(InvalidParameterError, match="at trial 86"):
+            run_trials(cfg)
 
 
 class TestLemmaSweep:

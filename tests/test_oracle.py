@@ -1,10 +1,11 @@
+import gc
 import random
-from itertools import combinations, islice
+from itertools import islice
 
 import pytest
 
 from linpath.constructions import gen_complete, gen_core, gen_star, gen_star_plus
-from linpath.errors import OrderTooLargeError
+from linpath.errors import OrderTooLargeError, SearchExhaustedError
 from linpath.hypergraph import Hypergraph, all_triples, build
 from linpath.oracle import (
     enumerate_hypergraphs,
@@ -132,27 +133,68 @@ class TestEnumeration:
             next(enumerate_hypergraphs(7))
 
 
+def witness(H, t):
+    hit = find_path(H, t)
+    return None if hit is None else hit.vertices
+
+
+# Present-length witnesses of the certification grid (k = 1..3, n = 4k+3..15),
+# as returned before twin-class pruning; they do not depend on n.
+CERTIFY_WITNESSES = {
+    ("star", 1): (1, 2, 0, 3, 4),
+    ("star", 2): (2, 3, 0, 4, 5, 6, 1, 7, 8),
+    ("star", 3): (3, 4, 0, 5, 6, 7, 1, 8, 9, 10, 2, 11, 12),
+    ("star_plus", 1): (1, 2, 3, 4, 0, 5, 6),
+    ("star_plus", 2): (2, 3, 4, 5, 0, 6, 7, 8, 1, 9, 10),
+    ("star_plus", 3): (3, 4, 5, 6, 0, 7, 8, 9, 1, 10, 11, 12, 2, 13, 14),
+}
+
+
 class TestAgainstBruteForce:
+    # brute_force_path scans vertex sequences in lexicographic order, so it
+    # returns the least witness, which is the one find_path must return
+
     def test_small_random_graphs(self):
         rng = random.Random(7)
         for _ in range(60):
-            n = rng.randint(4, 6)
+            n = rng.randint(4, 7)
             H = random_3graph(n, rng.uniform(0.1, 0.7), rng)
-            for t in (1, 2):
-                ours = find_path(H, t)
-                brute = brute_force_path(H, t)
-                assert (ours is None) == (brute is None)
-                if ours is not None:
-                    ours.validate(H)
+            for t in range(1, (n - 1) // 2 + 1):
+                assert witness(H, t) == brute_force_path(H, t)
 
     def test_exhaustive_tiny(self):
-        # every 3-graph on 5 vertices with up to 4 edges, both t values
-        triples = list(combinations(range(5), 3))
-        rng = random.Random(13)
-        for _ in range(60):
-            m = rng.randint(0, 4)
-            H = build(3, 5, rng.sample(triples, m))
+        # every 3-graph on 5 vertices, both t values
+        for H in enumerate_hypergraphs(5):
             for t in (1, 2):
-                assert (find_path(H, t) is None) == (
-                    brute_force_path(H, t) is None
-                )
+                assert witness(H, t) == brute_force_path(H, t)
+
+    def test_twin_rich_constructions(self):
+        for n in (7, 8, 9):
+            for gen, lengths in ((gen_star, (2, 3)), (gen_star_plus, (3, 4))):
+                H = gen(3, n, 1)
+                for t in lengths:
+                    assert witness(H, t) == brute_force_path(H, t)
+
+    def test_frozen_certification_witnesses(self):
+        for (kind, k), want in CERTIFY_WITNESSES.items():
+            gen, t = (gen_star, 2 * k) if kind == "star" else (gen_star_plus, 2 * k + 1)
+            for n in range(4 * k + 3, 16):
+                assert witness(gen(3, n, k), t) == want
+
+
+class TestMemoRelease:
+    def test_searches_leave_no_reference_cycles(self):
+        H = gen_star(3, 11, 2)
+        gc.collect()
+        gc.disable()
+        try:
+            find_path(H, 5)
+            find_path(H, 4)
+            try:
+                find_path(H, 5, budget=10)
+            except SearchExhaustedError:
+                pass
+            find_cycle(H, 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
