@@ -12,7 +12,6 @@ reproducible byte-for-byte:
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 from .errors import InvalidParameterError, NonIntegralError
 from .hypergraph import Hypergraph, build
@@ -103,7 +102,3 @@ def g_bound(n: int, t: int) -> int:
         return _half((t - 1) * n, "g_bound") + _half(3 * t * t - 9 * t, "g_bound") + 6
     return _half((t - 2) * n, "g_bound") + _half(3 * t * t - 5 * t, "g_bound") + 6
 
-
-def star_edge_count(n: int, r: int, k: int) -> int:
-    """C(n,r) - C(n-k,r): the number of r-sets meeting the k-set A."""
-    return comb(n, r) - comb(n - k, r)

@@ -18,9 +18,13 @@ always applies until the target length is reached; when the threshold is
 met and no move applies, the run reports LemmaStepFailed rather than
 guessing, because that outcome would witness a bug.
 
-All context tables are recomputed from scratch after every move: the index
-bookkeeping after a prefix reversal is error-prone, and recomputation costs
-O(s*n) per move, which is negligible at this scale.
+Each accepted path gets one context, built from scratch rather than
+patched: the index bookkeeping after a prefix reversal is error-prone, and
+a context is O(s) int operations on the host's pair-link masks (outside
+neighbours are a link masked by the path's complement).  find_guaranteed
+hands the context built when a move is accepted to the next step; rotate
+also builds one for the reversed path when it works at the right end, and
+one to check its postcondition.
 """
 
 from __future__ import annotations
@@ -38,17 +42,19 @@ from .errors import (
     SplicePostconditionError,
     UnfoldPostconditionError,
 )
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, least_vertex, mask_vertices
+from .oracle import closure_witness
 from .paths import CyclePlusWitness, LinearPath
 from .report import VerificationReport, ViolationReport
 
 
 @dataclass(frozen=True)
 class PathContext:
-    """Per-path rotation state, recomputed from scratch by make_context.
+    """Per-path rotation state, built from scratch by make_context.
 
-    outside maps an (a, b) index pair (a < b) to the sorted tuple of common
-    neighbors of x_a, x_b lying outside the path.  M and T partition
+    outside maps an (a, b) index pair (a < b) to the bitmask of common
+    neighbors of x_a, x_b lying outside the path; d counts its bits and
+    outside_set decodes it.  M and T partition
     [0, s-1]; N_left / N_right are the endpoint refinement sets.  Their
     disjointness is a consequence derived under the theorem's hypotheses,
     so it is reported by callers, never asserted here.
@@ -61,19 +67,23 @@ class PathContext:
     N_left: frozenset
     N_right: frozenset
 
-    def outside_set(self, a: int, b: int) -> tuple:
+    def outside_mask(self, a: int, b: int) -> int:
         return self.outside[(a, b) if a < b else (b, a)]
+
+    def outside_set(self, a: int, b: int) -> tuple:
+        """The outside common neighbors of x_a and x_b, ascending."""
+        return mask_vertices(self.outside_mask(a, b))
 
     def d(self, a: int, b: int) -> int:
         """d_P(a,b): outside codegree of path positions a and b."""
-        return len(self.outside_set(a, b))
+        return self.outside_mask(a, b).bit_count()
 
 
 def make_context(H: Hypergraph, P: LinearPath) -> PathContext:
     P.validate(H)
     x = P.vertices
     s = P.length
-    vset = P.vertex_set()
+    free = ~P.vertex_mask()
     pairs = set()
     for i in range(1, 2 * s + 1):
         pairs.add((0, i))
@@ -81,12 +91,8 @@ def make_context(H: Hypergraph, P: LinearPath) -> PathContext:
         pairs.add((i, 2 * s))
     for i in range(s):
         pairs.add((2 * i, 2 * i + 2))
-    outside = {}
-    for a, b in pairs:
-        outside[(a, b)] = tuple(
-            w for w in H.pair_neighborhood(x[a], x[b]) if w not in vset
-        )
-    d = lambda a, b: len(outside[(a, b) if a < b else (b, a)])
+    outside = {(a, b): H.link(x[a], x[b]) & free for a, b in pairs}
+    d = lambda a, b: outside[(a, b) if a < b else (b, a)].bit_count()
     M = frozenset(i for i in range(s) if d(2 * i, 2 * i + 2) >= 2)
     T = frozenset(range(s)) - M
     N_left = frozenset(
@@ -105,19 +111,13 @@ def extend(H: Hypergraph, P: LinearPath) -> Optional[LinearPath]:
     the left one (via reversal); the lexicographically least fresh pair
     wins.  None when every edge at both endpoints re-enters the path."""
     P.validate(H)
+    free = ((1 << H.n) - 1) & ~P.vertex_mask()
     for seq in (P.vertices, tuple(reversed(P.vertices))):
-        used = set(seq)
         last = seq[-1]
-        best = None
-        for e in H.incident_edges(last):
-            rest = [v for v in e if v != last]
-            for w1, w2 in ((rest[0], rest[1]), (rest[1], rest[0])):
-                if w1 in used or w2 in used:
-                    continue
-                if best is None or (w1, w2) < best:
-                    best = (w1, w2)
-        if best is not None:
-            return LinearPath(seq + best).validate(H)
+        for w1 in mask_vertices(free):
+            fresh = H.link(last, w1) & free  # never holds w1 itself
+            if fresh:
+                return LinearPath(seq + (w1, least_vertex(fresh))).validate(H)
     return None
 
 
@@ -140,23 +140,20 @@ def rotate(H: Hypergraph, ctx: PathContext, end: str = "left") -> Optional[Linea
     for kp in sorted(ctx.T):
         if ctx.d(0, 2 * kp + 2) < gate:
             continue
-        avoid = set()
+        avoid = 0
         for k in ctx.M:
             if ctx.d(2 * k, 2 * k + 2) == 2:
-                avoid.update(ctx.outside_set(2 * k, 2 * k + 2))
-        candidates = [v for v in ctx.outside_set(0, 2 * kp + 2) if v not in avoid]
+                avoid |= ctx.outside_mask(2 * k, 2 * k + 2)
+        candidates = ctx.outside_mask(0, 2 * kp + 2) & ~avoid
         if not candidates:
             raise RotationPostconditionError(
-                f"pigeonhole failed at k'={kp}: gate {gate}, avoid {sorted(avoid)}"
+                f"pigeonhole failed at k'={kp}: gate {gate}, "
+                f"avoid {list(mask_vertices(avoid))}"
             )
-        v = candidates[0]
+        v = least_vertex(candidates)
         new_seq = tuple(reversed(x[: 2 * kp + 1])) + (v,) + x[2 * kp + 2 :]
-        try:
-            new_path = LinearPath(new_seq).validate(H)
-        except InvalidPathError as exc:
-            raise RotationPostconditionError(f"rotated sequence invalid: {exc}") from exc
-        if new_path.length != ctx.path.length:
-            raise RotationPostconditionError("rotation changed the path length")
+        new_path = _checked(H, new_seq, ctx.path.length,
+                            RotationPostconditionError, "rotated")
         expected_vset = (set(x) - {x[2 * kp + 1]}) | {v}
         if set(new_seq) != expected_vset:
             raise RotationPostconditionError("rotation vertex-set relation violated")
@@ -169,6 +166,18 @@ def rotate(H: Hypergraph, ctx: PathContext, end: str = "left") -> Optional[Linea
     return None
 
 
+def _checked(H: Hypergraph, seq: tuple, length: int, error: type, what: str) -> LinearPath:
+    """seq as a validated linear path of the given length; a move whose
+    output is anything else raises its own postcondition error."""
+    try:
+        new_path = LinearPath(seq).validate(H)
+    except InvalidPathError as exc:
+        raise error(f"{what} sequence invalid: {exc}") from exc
+    if new_path.length != length:
+        raise error(f"{what} sequence has length {new_path.length}, expected {length}")
+    return new_path
+
+
 def _splice_odd(x: tuple, k: int, y: int, z: int) -> tuple:
     # (x_{2k+2}, ..., x_{2t}, z, x_{2k+1}, y, x_0, ..., x_{2k})
     return x[2 * k + 2 :] + (z, x[2 * k + 1], y) + x[: 2 * k + 1]
@@ -179,11 +188,13 @@ def _splice_connector(x: tuple, k: int, y: int, z: int) -> tuple:
     return (x[2 * k + 1], z) + x[: 2 * k + 1] + (y,) + x[2 * k + 2 :]
 
 
-def _distinct_pair(first: tuple, second: tuple):
-    for y in first:
-        for z in second:
-            if y != z:
-                return y, z
+def _distinct_pair(first: int, second: int):
+    """The first (y, z) with y in first, z in second and y != z, scanning y
+    and then z upwards; None when there is none.  Both are vertex masks."""
+    for y in mask_vertices(first):
+        z = second & ~(1 << y)
+        if z:
+            return y, least_vertex(z)
     return None
 
 
@@ -205,17 +216,11 @@ def improve_via_codegree(H: Hypergraph, ctx: PathContext) -> Optional[LinearPath
     rx = tuple(reversed(x))
 
     def finish(seq: tuple) -> LinearPath:
-        try:
-            new_path = LinearPath(seq).validate(H)
-        except InvalidPathError as exc:
-            raise SplicePostconditionError(f"spliced sequence invalid: {exc}") from exc
-        if new_path.length != t + 1:
-            raise SplicePostconditionError("splice produced the wrong length")
-        return new_path
+        return _checked(H, seq, t + 1, SplicePostconditionError, "spliced")
 
     for k in range(t):
         pick = _distinct_pair(
-            ctx.outside_set(0, 2 * k + 1), ctx.outside_set(2 * k + 1, 2 * t)
+            ctx.outside_mask(0, 2 * k + 1), ctx.outside_mask(2 * k + 1, 2 * t)
         )
         if pick is not None:
             y, z = pick
@@ -223,8 +228,8 @@ def improve_via_codegree(H: Hypergraph, ctx: PathContext) -> Optional[LinearPath
     for k in range(t):
         for endpoint in (0, 2 * t):
             pick = _distinct_pair(
-                ctx.outside_set(2 * k, 2 * k + 2),
-                ctx.outside_set(endpoint, 2 * k + 1),
+                ctx.outside_mask(2 * k, 2 * k + 2),
+                ctx.outside_mask(endpoint, 2 * k + 1),
             )
             if pick is None:
                 continue
@@ -253,13 +258,7 @@ def unfold_cycle_plus(H: Hypergraph, W: CyclePlusWitness) -> Optional[LinearPath
     pos = {u: i for i, u in enumerate(cyc)}
 
     def finish(seq: tuple) -> LinearPath:
-        try:
-            new_path = LinearPath(seq).validate(H)
-        except InvalidPathError as exc:
-            raise UnfoldPostconditionError(f"unfolded sequence invalid: {exc}") from exc
-        if new_path.length != t + 1:
-            raise UnfoldPostconditionError("unfold produced the wrong length")
-        return new_path
+        return _checked(H, seq, t + 1, UnfoldPostconditionError, "unfolded")
 
     for e in H.incident_edges(v):
         rest = [u for u in e if u != v]
@@ -283,20 +282,6 @@ def unfold_cycle_plus(H: Hypergraph, W: CyclePlusWitness) -> Optional[LinearPath
     return None
 
 
-def closure_witness(H: Hypergraph, P: LinearPath) -> Optional[CyclePlusWitness]:
-    """The cheap cycle-plus closure of P: two common neighbors of its
-    endpoints outside the path, if they exist."""
-    used = P.vertex_set()
-    outside = [
-        w
-        for w in H.pair_neighborhood(P.vertices[0], P.vertices[-1])
-        if w not in used
-    ]
-    if len(outside) < 2:
-        return None
-    return CyclePlusWitness(P, outside[0], outside[1]).validate(H)
-
-
 def find_guaranteed(
     H: Hypergraph,
     t: int,
@@ -307,7 +292,9 @@ def find_guaranteed(
 
     Lengths 1 and 2 are delegated to the exact oracle.  For t >= 3 the
     loop tries extend, splice, rotate (at the endpoint with the smaller
-    refinement set first), then unfold, re-deriving the context each step.
+    refinement set first), then unfold.  The context of the current path
+    is built once, when its move is accepted, and serves every later step
+    on that path.
     When stuck: LemmaStepFailed if the degree threshold promised a move,
     HypothesisUnmet otherwise.  Budget defaults to 16*n^2 accepted moves.
     """
@@ -334,41 +321,42 @@ def find_guaranteed(
     if budget is None:
         budget = 16 * H.n * H.n
 
-    path = LinearPath(H.edges[0]).validate(H)
-    progress = (path.length, len(make_context(H, path).M))
+    ctx = make_context(H, LinearPath(H.edges[0]))
     moves = 0
 
-    def accept(kind: str, new_path: LinearPath) -> LinearPath:
-        nonlocal progress, moves
-        new_mark = (new_path.length, len(make_context(H, new_path).M))
-        if new_mark <= progress:
+    def accept(kind: str, new_path: LinearPath) -> PathContext:
+        """The new path's context, once the move is shown to advance."""
+        nonlocal moves
+        new_ctx = make_context(H, new_path)
+        mark = (ctx.path.length, len(ctx.M))
+        new_mark = (new_path.length, len(new_ctx.M))
+        if new_mark <= mark:
             raise LemmaStepError(
-                f"move {kind} did not advance (length, |M|): {progress} -> {new_mark}"
+                f"move {kind} did not advance (length, |M|): {mark} -> {new_mark}"
             )
-        progress = new_mark
         moves += 1
         if on_move is not None:
             on_move(kind, new_mark[0], new_mark[1])
-        return new_path
+        return new_ctx
 
     while True:
+        path = ctx.path
         if path.length >= t:
             return path.prefix(t).validate(H)
         if moves >= budget:
             return ViolationReport(
                 "BudgetExhausted",
                 f"{moves} accepted moves at length {path.length}",
-                make_context(H, path),
+                ctx,
             )
         try:
             longer = extend(H, path)
             if longer is not None:
-                path = accept("extend", longer)
+                ctx = accept("extend", longer)
                 continue
-            ctx = make_context(H, path)
             longer = improve_via_codegree(H, ctx)
             if longer is not None:
-                path = accept("splice", longer)
+                ctx = accept("splice", longer)
                 continue
             ends = ("left", "right")
             if len(ctx.N_right) < len(ctx.N_left):
@@ -379,28 +367,28 @@ def find_guaranteed(
                 if rotated is not None:
                     break
             if rotated is not None:
-                path = accept("rotate", rotated)
+                ctx = accept("rotate", rotated)
                 continue
             witness = closure_witness(H, path)
             if witness is not None:
                 longer = unfold_cycle_plus(H, witness)
                 if longer is not None:
-                    path = accept("unfold", longer)
+                    ctx = accept("unfold", longer)
                     continue
         except LemmaStepError as exc:
-            return ViolationReport("LemmaStepFailed", str(exc), make_context(H, path))
+            return ViolationReport("LemmaStepFailed", str(exc), ctx)
         bound, min_n = theorem_threshold(H.n, t)
         if H.min_degree() >= bound and H.n >= min_n:
             return ViolationReport(
                 "LemmaStepFailed",
                 f"no move at length {path.length} although delta_1 >= {bound}",
-                make_context(H, path),
+                ctx,
             )
         return ViolationReport(
             "HypothesisUnmet",
             f"stuck at length {path.length}; delta_1={H.min_degree()} "
             f"threshold={bound} min_n={min_n}",
-            make_context(H, path),
+            ctx,
         )
 
 

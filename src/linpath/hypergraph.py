@@ -4,6 +4,12 @@ Vertices are the integers 0..n-1.  Edges are stored as sorted tuples, the
 edge set itself sorted lexicographically, and the structure never mutates
 after construction, so values are safe to share across threads.
 
+A 3-graph also keeps the link of every vertex pair as an int bitmask:
+bit w of ``link(u, v)`` is set exactly when {u, v, w} is an edge.  Pair
+codegrees, edge tests and "common neighbours outside a vertex set" (the
+link masked by the set's complement) are then single int operations;
+``mask_vertices`` decodes a mask when the vertices themselves are needed.
+
 The text format (1-based labels, LF line endings):
 
     c optional comment
@@ -33,7 +39,7 @@ class Hypergraph:
     constructor assumes already-validated canonical edges.
     """
 
-    __slots__ = ("r", "n", "edges", "_incident", "_pair_map", "_eset")
+    __slots__ = ("r", "n", "edges", "_incident", "_link")
 
     def __init__(self, r: int, n: int, edges: tuple):
         self.r = r
@@ -44,17 +50,15 @@ class Hypergraph:
             for v in e:
                 incident[v].append(e)
         self._incident = [tuple(es) for es in incident]
-        # For 3-graphs, precompute pair -> third vertices: the finder
-        # queries pair codegrees heavily and this makes them O(1).
-        pair_map = {}
+        link = None
         if r == 3:
+            link = [[0] * n for _ in range(n)]
             for a, b, c in edges:
-                pair_map.setdefault((a, b), []).append(c)
-                pair_map.setdefault((a, c), []).append(b)
-                pair_map.setdefault((b, c), []).append(a)
-            pair_map = {p: tuple(sorted(ws)) for p, ws in pair_map.items()}
-        self._pair_map = pair_map
-        self._eset = frozenset(edges)
+                la, lb, lc = link[a], link[b], link[c]
+                la[b] = lb[a] = la[b] | (1 << c)
+                la[c] = lc[a] = la[c] | (1 << b)
+                lb[c] = lc[b] = lb[c] | (1 << a)
+        self._link = link
 
     # -- basic queries ----------------------------------------------------
 
@@ -80,12 +84,18 @@ class Hypergraph:
             raise RepeatedVertexError(f"set {s} has repeated vertices")
         if not s:
             return len(self.edges)
-        if len(s) == 2 and self.r == 3:
-            a, b = sorted(s)
-            return len(self._pair_map.get((a, b), ()))
         key = set(s)
         anchor = min(s, key=self.degree)
         return sum(1 for e in self._incident[anchor] if key.issubset(e))
+
+    def link(self, u: int, v: int) -> int:
+        """Bitmask of all w with {u,v,w} an edge (3-graphs only).
+
+        Unchecked: u and v must be vertices; the link of (u, u) is 0.
+        """
+        if self._link is None:
+            raise NotPairUniformError("pair links need r=3")
+        return self._link[u][v]
 
     def pair_neighborhood(self, u: int, v: int) -> tuple:
         """All w with {u,v,w} an edge, sorted ascending (3-graphs only)."""
@@ -95,16 +105,24 @@ class Hypergraph:
         self._check_vertex(v)
         if u == v:
             raise RepeatedVertexError("pair requires two distinct vertices")
-        if u > v:
-            u, v = v, u
-        return self._pair_map.get((u, v), ())
+        return mask_vertices(self._link[u][v])
 
     def min_degree(self) -> int:
         """delta_1(H); 0 when some vertex is isolated."""
         return min(len(self._incident[v]) for v in range(self.n))
 
     def has_edge(self, e: Iterable[int]) -> bool:
-        return tuple(sorted(e)) in self._eset
+        """Whether e is an edge; False for anything not an r-set of vertices."""
+        e = tuple(e)
+        if len(e) != self.r:
+            return False
+        for v in e:
+            if not (isinstance(v, int) and 0 <= v < self.n):
+                return False
+        if self._link is not None:
+            a, b, c = e
+            return (self._link[a][b] >> c) & 1 == 1
+        return tuple(sorted(e)) in self._incident[e[0]]
 
     def _check_vertex(self, v: int) -> None:
         if not isinstance(v, int) or v < 0 or v >= self.n:
@@ -122,6 +140,21 @@ class Hypergraph:
 
     def __repr__(self):
         return f"Hypergraph(r={self.r}, n={self.n}, m={len(self.edges)})"
+
+
+def least_vertex(mask: int) -> int:
+    """The lowest set bit of a nonzero vertex mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def mask_vertices(mask: int) -> tuple:
+    """The set bits of a vertex mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def build(r: int, n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:

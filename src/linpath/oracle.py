@@ -29,7 +29,7 @@ from .errors import (
     OrderTooLargeError,
     SearchExhaustedError,
 )
-from .hypergraph import Hypergraph, all_triples
+from .hypergraph import Hypergraph, all_triples, least_vertex, mask_vertices
 from .paths import CyclePlusWitness, LinearCycle, LinearPath
 
 
@@ -70,12 +70,13 @@ def _twins_below(H: Hypergraph):
 
 
 def _are_twins(H: Hypergraph, u: int, v: int) -> bool:
-    # equal degrees make the map {u,a,b} -> {v,a,b} onto, given it is into
-    if H.degree(u) != H.degree(v):
-        return False
+    # {u,a,b} -> {v,a,b} maps edges onto edges iff, for every other vertex
+    # a, the links of (u, a) and (v, a) agree away from u and v
+    other = ~((1 << u) | (1 << v))
     return all(
-        v in e or H.has_edge([v if x == u else x for x in e])
-        for e in H.incident_edges(u)
+        H.link(u, a) & other == H.link(v, a) & other
+        for a in range(H.n)
+        if a != u and a != v
     )
 
 
@@ -167,8 +168,11 @@ def iter_paths(H: Hypergraph, t: int) -> Iterator[LinearPath]:
                 continue
             yield from dfs(seq + [w1, w2], mask | bits, s + 1)
 
-    for a in range(H.n):
-        yield from dfs([a], 1 << a, 0)
+    try:
+        for a in range(H.n):
+            yield from dfs([a], 1 << a, 0)
+    finally:
+        del dfs  # the closure refers to itself; also runs when abandoned
 
 
 def longest_path(H: Hypergraph, cap: int, budget: Optional[int] = None):
@@ -206,10 +210,10 @@ def find_cycle(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[
             raise SearchExhaustedError(f"cycle search exceeded {budget} nodes")
         z0 = seq[0]
         if i == k - 1:
-            # close with {z_{2k-2}, z_{2k-1}, z0}
-            for w in H.pair_neighborhood(seq[-1], z0):
-                if not (mask >> w) & 1:
-                    return seq + [w]
+            # close with {z_{2k-2}, z_{2k-1}, z0}, w the least fresh choice
+            closing = H.link(seq[-1], z0) & ~mask
+            if closing:
+                return seq + [least_vertex(closing)]
             return None
         for w1, w2 in ext[seq[-1]]:
             if w2 <= z0:  # connectors stay above the anchor
@@ -253,12 +257,21 @@ def find_cycle_plus(H: Hypergraph, k: int, budget: Optional[int] = None) -> Opti
         count += 1
         if budget is not None and count > budget:
             raise SearchExhaustedError(f"cycle-plus scan exceeded {budget} paths")
-        used = path.vertex_set()
-        outside = [w for w in H.pair_neighborhood(path.vertices[0], path.vertices[-1])
-                   if w not in used]
-        if len(outside) >= 2:
-            return CyclePlusWitness(path, outside[0], outside[1]).validate(H)
+        hit = closure_witness(H, path)
+        if hit is not None:
+            return hit
     return None
+
+
+def closure_witness(H: Hypergraph, P: LinearPath) -> Optional[CyclePlusWitness]:
+    """The cheap cycle-plus closure of P: the two least common neighbors of
+    its endpoints outside the path, if they exist."""
+    outside = mask_vertices(
+        H.link(P.vertices[0], P.vertices[-1]) & ~P.vertex_mask()
+    )
+    if len(outside) < 2:
+        return None
+    return CyclePlusWitness(P, outside[0], outside[1]).validate(H)
 
 
 def enumerate_hypergraphs(n: int, predicate: Optional[Callable[[Hypergraph], bool]] = None) -> Iterator[Hypergraph]:

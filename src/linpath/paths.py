@@ -28,8 +28,12 @@ class LinearPath:
         v = self.vertices
         return [tuple(sorted(v[i : i + 3])) for i in range(0, len(v) - 2, 2)]
 
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
+    def vertex_mask(self) -> int:
+        """The vertices as a bitmask: bit v is set when v is on the path."""
+        mask = 0
+        for v in self.vertices:
+            mask |= 1 << v
+        return mask
 
     def reversed(self) -> "LinearPath":
         return LinearPath(tuple(reversed(self.vertices)))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shutil
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from linpath.cli import main
-from linpath.constructions import gen_complete, gen_star
+from linpath.constructions import gen_complete, gen_star, gen_star_plus
 from linpath.hypergraph import serialize
 
 REPO = Path(__file__).resolve().parent.parent
@@ -134,6 +135,56 @@ class TestFind:
         )
         assert code == 0
         assert out == "path: 2 3 1 4 5\n"
+
+
+class TestPinnedOutput:
+    """User-visible output frozen as literals, so a change of the move
+    sequence, an M value or a witness shows, not only a change between two
+    runs of the same code."""
+
+    STAR_PLUS_TRACE = (
+        "move: extend length=2 M=2\n"
+        "move: extend length=3 M=3\n"
+        "move: splice length=4 M=4\n"
+        "move: extend length=5 M=5\n"
+        "move: extend length=6 M=6\n"
+        "absent: HypothesisUnmet stuck at length 6; delta_1=37 threshold=93 min_n=31\n"
+    )
+    THRESHOLD_TRACE = (
+        "move: extend length=2 M=2\n"
+        "move: extend length=3 M=3\n"
+        "move: extend length=4 M=4\n"
+        "move: extend length=5 M=5\n"
+        "path: 1 2 6 3 5 4 7 8 9 10 19\n"
+    )
+    # sha256 of `experiment --n 23 --length 3 --min-degree 29 --trials 20 --seed 1`
+    EXPERIMENT_SHA256 = "86c2136c4eb22e812cfb291f27315149d9d4cb8769086e82cf278a356fe16d25"
+
+    def test_star_plus_trace(self, capsys, tmp_path):
+        # splice fires, then every move is tried at length 6 and none applies
+        f = tmp_path / "star_plus.h3"
+        f.write_text(serialize(gen_star_plus(3, 15, 3)))
+        code, out, _ = run_cli(capsys, "find", "-i", str(f), "--length", "7", "--trace")
+        assert (code, out) == (1, self.STAR_PLUS_TRACE)
+
+    def test_threshold_host_trace(self, capsys, tmp_path):
+        from linpath.constructions import theorem_threshold
+        from linpath.harness import random_min_degree_graph
+
+        bound, floor = theorem_threshold(27, 5)
+        assert (bound, floor) == (75, 27)
+        f = tmp_path / "rnd.h3"
+        f.write_text(serialize(random_min_degree_graph(27, bound, 0)))
+        code, out, _ = run_cli(capsys, "find", "-i", str(f), "--length", "5", "--trace")
+        assert (code, out) == (0, self.THRESHOLD_TRACE)
+
+    def test_experiment_csv(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "experiment", "--n", "23", "--length", "3", "--min-degree", "29",
+            "--trials", "20", "--seed", "1",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.EXPERIMENT_SHA256
 
 
 class TestVerify:

@@ -181,6 +181,28 @@ class TestAgainstBruteForce:
             for n in range(4 * k + 3, 16):
                 assert witness(gen(3, n, k), t) == want
 
+    # find_cycle at k = 3, 4 and find_cycle_plus at k = 3 on seeded random
+    # hosts, frozen from the tuple-based code the link masks replaced
+    CYCLE_WITNESSES = [
+        ((0, 1, 3, 4, 5, 2), None, None),
+        ((0, 1, 3, 2, 7, 4), (0, 1, 3, 2, 7, 5, 8, 4), ((0, 1, 3, 5, 7), 2, 4)),
+        (None, None, None),
+        ((0, 1, 3, 2, 5, 4), (0, 1, 3, 2, 6, 4, 5, 7), ((0, 1, 3, 2, 5), 4, 6)),
+        ((0, 1, 4, 3, 7, 2), (0, 1, 4, 2, 6, 5, 7, 3), ((0, 1, 4, 3, 7), 2, 5)),
+        ((0, 2, 8, 1, 3, 7), (0, 2, 8, 4, 5, 6, 3, 7), ((1, 3, 8, 4, 6), 2, 7)),
+        ((0, 1, 2, 3, 4, 6), None, ((0, 2, 4, 6, 5), 1, 3)),
+        ((1, 0, 2, 3, 4, 6), None, ((1, 0, 2, 3, 6), 4, 5)),
+    ]
+
+    def test_frozen_cycle_witnesses(self):
+        rng = random.Random(31)
+        for want in self.CYCLE_WITNESSES:
+            n = rng.randint(6, 9)
+            H = random_3graph(n, rng.uniform(0.2, 0.5), rng)
+            c3, c4, cp = find_cycle(H, 3), find_cycle(H, 4), find_cycle_plus(H, 3)
+            assert (c3 and c3.vertices, c4 and c4.vertices,
+                    cp and (cp.path.vertices, cp.closing, cp.parallel)) == want
+
 
 class TestMemoRelease:
     def test_searches_leave_no_reference_cycles(self):
@@ -195,6 +217,21 @@ class TestMemoRelease:
             except SearchExhaustedError:
                 pass
             find_cycle(H, 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("run", [
+        lambda H: list(iter_paths(H, 2)),
+        lambda H: list(islice(iter_paths(H, 2), 5)),
+        lambda H: find_cycle_plus(H, 3),
+    ], ids=["iter_paths_consumed", "iter_paths_abandoned", "find_cycle_plus"])
+    def test_path_enumeration_leaves_no_reference_cycles(self, run):
+        H = gen_star(3, 11, 2)
+        gc.collect()
+        gc.disable()
+        try:
+            run(H)
             assert gc.collect() == 0
         finally:
             gc.enable()
