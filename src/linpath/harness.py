@@ -169,7 +169,7 @@ def exhaustive_check(n: int, delta: int, t: int) -> VerificationReport:
     total = 0
     passed = 0
     counterexamples: List[str] = []
-    for H in oracle.enumerate_hypergraphs(n, lambda h: h.min_degree() >= delta):
+    for H in oracle.enumerate_hypergraphs(n, delta):
         total += 1
         if oracle.find_path(H, t) is not None:
             passed += 1
@@ -189,9 +189,7 @@ def _hosts(config: ExperimentConfig):
     """(trial seed, host) for each trial in turn.  The exhaustive generator
     walks one filtered enumeration, so trial i gets its i-th graph."""
     if config.generator == "exhaustive":
-        graphs = oracle.enumerate_hypergraphs(
-            config.n, lambda h: h.min_degree() >= config.min_degree
-        )
+        graphs = oracle.enumerate_hypergraphs(config.n, config.min_degree)
     for trial in range(config.trials):
         tseed = (config.seed * 1_000_003 + trial) & 0xFFFFFFFFFFFFFFFF
         if config.generator == "conditioned-random":

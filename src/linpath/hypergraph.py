@@ -75,19 +75,6 @@ class Hypergraph:
         self._check_vertex(v)
         return len(self._incident[v])
 
-    def set_degree(self, S: Iterable[int]) -> int:
-        """d_H(S): the number of edges containing every vertex of S."""
-        s = tuple(S)
-        for v in s:
-            self._check_vertex(v)
-        if len(set(s)) != len(s):
-            raise RepeatedVertexError(f"set {s} has repeated vertices")
-        if not s:
-            return len(self.edges)
-        key = set(s)
-        anchor = min(s, key=self.degree)
-        return sum(1 for e in self._incident[anchor] if key.issubset(e))
-
     def link(self, u: int, v: int) -> int:
         """Bitmask of all w with {u,v,w} an edge (3-graphs only).
 

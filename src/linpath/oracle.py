@@ -4,9 +4,14 @@ This module is the ground truth for everything else: searches are complete
 backtracking with pruning that provably preserves exhaustiveness (a dead
 partial state is memoized only as a function of its used-vertex set and
 its extension endpoint, which determine all possible continuations).
-Returned witnesses validate themselves before being handed out, and are
-deterministic: the lexicographically least found under a fixed expansion
-order.
+Returned witnesses validate themselves before being handed out.
+
+Every search grows a vertex sequence one edge at a time at its last
+vertex, straight from the host's pair-link masks (``H.link``): the new
+middle vertex w1 runs over the unused vertices in increasing order, and
+the new endpoint w2 over the unused part of the link of (last, w1), also
+increasing.  Sequences are therefore expanded in lexicographic order, and
+each witness is the lexicographically least sequence the search accepts.
 
 The path search also breaks symmetry between twins, vertices whose swap
 is an automorphism (the tails, and the heads, of the star constructions).
@@ -21,7 +26,7 @@ search.  Path enumeration and the cycle searches are not pruned.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import (
     InvalidParameterError,
@@ -31,21 +36,6 @@ from .errors import (
 )
 from .hypergraph import Hypergraph, all_triples, least_vertex, mask_vertices
 from .paths import CyclePlusWitness, LinearCycle, LinearPath
-
-
-def _extension_table(H: Hypergraph):
-    """For each vertex x: sorted (w1, w2) with {x, w1, w2} an edge.
-
-    Both orders of the fresh pair appear: w1 becomes the new middle vertex
-    and w2 the new endpoint, and the two choices lead to different
-    continuations.
-    """
-    table = [[] for _ in range(H.n)]
-    for a, b, c in H.edges:
-        table[a] += [(b, c), (c, b)]
-        table[b] += [(a, c), (c, a)]
-        table[c] += [(a, b), (b, a)]
-    return [sorted(t) for t in table]
 
 
 def _twins_below(H: Hypergraph):
@@ -106,7 +96,7 @@ def find_path(H: Hypergraph, t: int, budget: Optional[int] = None) -> Optional[L
         raise InvalidParameterError(f"path length t={t} must be >= 1")
     if H.n < 2 * t + 1 or len(H.edges) < t:
         return None
-    ext = _extension_table(H)
+    full = (1 << H.n) - 1
     dead = set()
     below = [0] * H.n  # smaller twins per vertex, filled at the first dead state
     nodes = 0
@@ -122,14 +112,17 @@ def find_path(H: Hypergraph, t: int, budget: Optional[int] = None) -> Optional[L
         nodes += 1
         if budget is not None and nodes > budget:
             raise SearchExhaustedError(f"path search exceeded {budget} nodes")
-        free = ~mask
-        for w1, w2 in ext[last]:
-            bits = (1 << w1) | (1 << w2)
-            if bits & mask or below[w1] & free or below[w2] & free & ~bits:
+        free = full & ~mask
+        for w1 in mask_vertices(free):
+            if below[w1] & free:
                 continue
-            hit = dfs(seq + [w1, w2], mask | bits, s + 1)
-            if hit is not None:
-                return hit
+            for w2 in mask_vertices(H.link(last, w1) & free):
+                bits = (1 << w1) | (1 << w2)
+                if below[w2] & free & ~bits:
+                    continue
+                hit = dfs(seq + [w1, w2], mask | bits, s + 1)
+                if hit is not None:
+                    return hit
         if not dead:
             below[:] = _twins_below(H)
         dead.add(key)
@@ -148,25 +141,25 @@ def find_path(H: Hypergraph, t: int, budget: Optional[int] = None) -> Optional[L
 
 
 def iter_paths(H: Hypergraph, t: int) -> Iterator[LinearPath]:
-    """Every linear t-path, as vertex sequences (each subgraph appears
-    once per traversal direction).  No memoization: all hits are wanted."""
+    """Every linear t-path, as vertex sequences in lexicographic order
+    (each subgraph appears once per traversal direction).  No memoization:
+    all hits are wanted."""
     if H.r != 3:
         raise NotPairUniformError("path search implemented for 3-graphs only")
     if t < 1:
         raise InvalidParameterError(f"path length t={t} must be >= 1")
     if H.n < 2 * t + 1 or len(H.edges) < t:
         return
-    ext = _extension_table(H)
+    full = (1 << H.n) - 1
 
     def dfs(seq, mask, s):
         if s == t:
             yield LinearPath(tuple(seq))
             return
-        for w1, w2 in ext[seq[-1]]:
-            bits = (1 << w1) | (1 << w2)
-            if bits & mask:
-                continue
-            yield from dfs(seq + [w1, w2], mask | bits, s + 1)
+        free = full & ~mask
+        for w1 in mask_vertices(free):
+            for w2 in mask_vertices(H.link(seq[-1], w1) & free):
+                yield from dfs(seq + [w1, w2], mask | (1 << w1) | (1 << w2), s + 1)
 
     try:
         for a in range(H.n):
@@ -192,7 +185,10 @@ def find_cycle(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[
     """A linear k-cycle, or None on proven absence.
 
     The cyclic sequence is anchored at its smallest connector vertex, which
-    loses no cycles (rotation symmetry) and prunes the rest.
+    loses no cycles (rotation symmetry) and prunes the rest; the witness is
+    the lexicographically least anchored sequence.  ``budget`` caps the
+    expanded states: each partial sequence of one or more edges, the
+    closing step included.
     """
     if H.r != 3:
         raise NotPairUniformError("cycle search implemented for 3-graphs only")
@@ -200,14 +196,15 @@ def find_cycle(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[
         raise InvalidParameterError(f"cycle length k={k} must be >= 3")
     if H.n < 2 * k or len(H.edges) < k:
         return None
-    ext = _extension_table(H)
+    full = (1 << H.n) - 1
     nodes = 0
 
     def dfs(seq, mask, i):
         nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise SearchExhaustedError(f"cycle search exceeded {budget} nodes")
+        if i:  # the bare anchor is not a state
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise SearchExhaustedError(f"cycle search exceeded {budget} nodes")
         z0 = seq[0]
         if i == k - 1:
             # close with {z_{2k-2}, z_{2k-1}, z0}, w the least fresh choice
@@ -215,26 +212,20 @@ def find_cycle(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[
             if closing:
                 return seq + [least_vertex(closing)]
             return None
-        for w1, w2 in ext[seq[-1]]:
-            if w2 <= z0:  # connectors stay above the anchor
-                continue
-            bits = (1 << w1) | (1 << w2)
-            if bits & mask:
-                continue
-            hit = dfs(seq + [w1, w2], mask | bits, i + 1)
-            if hit is not None:
-                return hit
+        free = full & ~mask
+        above = -2 << z0  # every bit above z0: connectors stay above the anchor
+        for w1 in mask_vertices(free):
+            for w2 in mask_vertices(H.link(seq[-1], w1) & free & above):
+                hit = dfs(seq + [w1, w2], mask | (1 << w1) | (1 << w2), i + 1)
+                if hit is not None:
+                    return hit
         return None
 
     try:
         for z0 in range(H.n):
-            for w1, w2 in ext[z0]:
-                if w2 <= z0:
-                    continue
-                bits = (1 << z0) | (1 << w1) | (1 << w2)
-                hit = dfs([z0, w1, w2], bits, 1)
-                if hit is not None:
-                    return LinearCycle(tuple(hit)).validate(H)
+            hit = dfs([z0], 1 << z0, 0)
+            if hit is not None:
+                return LinearCycle(tuple(hit)).validate(H)
         return None
     finally:
         del dfs  # the closure refers to itself
@@ -274,16 +265,22 @@ def closure_witness(H: Hypergraph, P: LinearPath) -> Optional[CyclePlusWitness]:
     return CyclePlusWitness(P, outside[0], outside[1]).validate(H)
 
 
-def enumerate_hypergraphs(n: int, predicate: Optional[Callable[[Hypergraph], bool]] = None) -> Iterator[Hypergraph]:
-    """Every labeled simple 3-graph on n vertices (n <= 6), each once."""
+def enumerate_hypergraphs(n: int, min_degree: int = 0) -> Iterator[Hypergraph]:
+    """Every labeled simple 3-graph on n vertices (n <= 6) with minimum
+    degree at least ``min_degree``, each once, by increasing edge mask over
+    the sorted triples.  Degrees are read off the mask, so only the graphs
+    that pass are built."""
     if n > 6:
         raise OrderTooLargeError(f"exhaustive enumeration capped at n=6, got {n}")
     if n < 3:
         raise InvalidParameterError(f"need n >= 3 for 3-graphs, got {n}")
     triples = all_triples(n)
     m = len(triples)
+    at = [0] * n  # per vertex, the mask of the triples that contain it
+    for i, e in enumerate(triples):
+        for v in e:
+            at[v] |= 1 << i
     for mask in range(1 << m):
-        edges = tuple(triples[i] for i in range(m) if (mask >> i) & 1)
-        H = Hypergraph(3, n, edges)
-        if predicate is None or predicate(H):
-            yield H
+        if all((mask & a).bit_count() >= min_degree for a in at):
+            edges = tuple(triples[i] for i in range(m) if (mask >> i) & 1)
+            yield Hypergraph(3, n, edges)

@@ -8,14 +8,33 @@ list.  Only usable at tiny scale.
 from itertools import permutations
 
 
-def brute_force_path(H, t):
-    """First injective sequence of 2t+1 vertices whose consecutive triples
-    are all edges, or None."""
+def brute_force_paths(H, t):
+    """Every injective sequence of 2t+1 vertices whose consecutive triples
+    are all edges, in lexicographic order."""
     edge_set = set(H.edges)
     for seq in permutations(range(H.n), 2 * t + 1):
         if all(
             tuple(sorted(seq[i : i + 3])) in edge_set
             for i in range(0, 2 * t - 1, 2)
+        ):
+            yield seq
+
+
+def brute_force_path(H, t):
+    """First injective sequence of 2t+1 vertices whose consecutive triples
+    are all edges, or None."""
+    return next(brute_force_paths(H, t), None)
+
+
+def brute_force_cycle(H, k):
+    """First injective sequence z_0 .. z_{2k-1} whose connectors z_2, z_4,
+    .., z_{2k-2} all lie above z_0 and whose cyclic triples
+    {z_{2i}, z_{2i+1}, z_{2i+2 mod 2k}} are all edges, or None."""
+    edge_set = set(H.edges)
+    for seq in permutations(range(H.n), 2 * k):
+        if all(seq[i] > seq[0] for i in range(2, 2 * k, 2)) and all(
+            tuple(sorted((seq[i], seq[i + 1], seq[(i + 2) % (2 * k)]))) in edge_set
+            for i in range(0, 2 * k, 2)
         ):
             return seq
     return None

@@ -172,7 +172,7 @@ class TestRunTrials:
         result = run_trials(cfg)
         assert len(calls) == 1
         # trial i is the i-th graph of the filtered enumeration
-        graphs = enumerate_hypergraphs(5, lambda h: h.min_degree() >= 1)
+        graphs = enumerate_hypergraphs(5, 1)
         assert [row[3] for row in result.rows[:-1]] == [
             str(H.min_degree()) for H in islice(graphs, 40)
         ]

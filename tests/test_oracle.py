@@ -16,7 +16,7 @@ from linpath.oracle import (
     longest_path,
 )
 
-from bruteforce import brute_force_path
+from bruteforce import brute_force_cycle, brute_force_path, brute_force_paths
 
 
 def random_3graph(n, p, rng):
@@ -116,17 +116,20 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_hypergraphs(4)) == 16
 
     def test_degree_ceiling_n5(self):
-        assert (
-            sum(1 for _ in enumerate_hypergraphs(5, lambda h: h.min_degree() >= 7))
-            == 0
-        )
+        assert sum(1 for _ in enumerate_hypergraphs(5, 7)) == 0
 
     def test_frozen_count_n5_delta4(self):
         # regression value, first computed by this exhaustive enumeration
-        count = sum(
-            1 for _ in enumerate_hypergraphs(5, lambda h: h.min_degree() >= 4)
-        )
+        count = sum(1 for _ in enumerate_hypergraphs(5, 4))
         assert count == 86
+
+    def test_min_degree_filter(self):
+        # same graphs, same order, as filtering the whole enumeration
+        for n in (4, 5):
+            for d in range(8):
+                assert list(enumerate_hypergraphs(n, d)) == [
+                    H for H in enumerate_hypergraphs(n) if H.min_degree() >= d
+                ]
 
     def test_order_cap(self):
         with pytest.raises(OrderTooLargeError):
@@ -168,6 +171,28 @@ class TestAgainstBruteForce:
             for t in (1, 2):
                 assert witness(H, t) == brute_force_path(H, t)
 
+    def test_iter_paths_order(self):
+        # every path, in the lexicographic order of the vertex sequences
+        hosts = list(enumerate_hypergraphs(5))
+        rng = random.Random(53)
+        for _ in range(30):
+            n = rng.randint(6, 8)
+            hosts.append(random_3graph(n, rng.uniform(0.1, 0.6), rng))
+        for H in hosts:
+            for t in range(1, (H.n - 1) // 2 + 1):
+                assert [p.vertices for p in iter_paths(H, t)] == list(
+                    brute_force_paths(H, t)
+                )
+
+    def test_cycles(self):
+        rng = random.Random(59)
+        for _ in range(30):
+            n = rng.randint(6, 8)
+            H = random_3graph(n, rng.uniform(0.1, 0.6), rng)
+            for k in (3, 4):
+                cyc = find_cycle(H, k)
+                assert (cyc and cyc.vertices) == brute_force_cycle(H, k)
+
     def test_twin_rich_constructions(self):
         for n in (7, 8, 9):
             for gen, lengths in ((gen_star, (2, 3)), (gen_star_plus, (3, 4))):
@@ -202,6 +227,32 @@ class TestAgainstBruteForce:
             c3, c4, cp = find_cycle(H, 3), find_cycle(H, 4), find_cycle_plus(H, 3)
             assert (c3 and c3.vertices, c4 and c4.vertices,
                     cp and (cp.path.vertices, cp.closing, cp.parallel)) == want
+
+
+# (host, search, length, least budget at which the search finishes) on
+# gen_star(3, 11, 2) and on seeded random hosts, frozen from the
+# extension-table search that the link-mask expansion replaced: any change
+# to the states a search expands moves one of these.
+FROZEN_BUDGETS = [
+    ("star", find_path, 4, 11), ("star", find_path, 5, 12),
+    (102, find_path, 3, 12), (102, find_path, 4, 22),
+    (102, find_cycle, 3, 5), (102, find_cycle, 4, 53),
+    (104, find_path, 3, 5), (104, find_path, 4, 173),
+    (104, find_cycle, 3, 4), (104, find_cycle, 4, 23),
+    (110, find_path, 3, 3), (110, find_path, 4, 4),
+    (110, find_cycle, 3, 38), (110, find_cycle, 4, 192),
+]
+
+
+def test_frozen_least_budgets():
+    for host, search, length, least in FROZEN_BUDGETS:
+        if host == "star":
+            H = gen_star(3, 11, 2)
+        else:
+            H = random_3graph(9, 0.15, random.Random(host))
+        search(H, length, least)
+        with pytest.raises(SearchExhaustedError):
+            search(H, length, least - 1)
 
 
 class TestMemoRelease:
