@@ -36,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="emit a construction in the text format")
     gen.add_argument("--kind", required=True,
                      choices=["star", "core", "star_plus", "complete"])
-    gen.add_argument("--r", type=int, default=3)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--k", type=int, default=1)
     gen.add_argument("--s", type=int, default=1)
@@ -60,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="certify a construction or a small order")
     ver.add_argument("--construction", choices=["star", "star_plus"])
     ver.add_argument("--exhaustive", action="store_true")
-    ver.add_argument("--r", type=int, default=3)
     ver.add_argument("--n", type=int, required=True)
     ver.add_argument("--k", type=int, default=1)
     ver.add_argument("--min-degree", type=int, default=0)
@@ -82,13 +80,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     if args.kind == "star":
-        H = constructions.gen_star(args.r, args.n, args.k)
+        H = constructions.gen_star(3, args.n, args.k)
     elif args.kind == "core":
-        H = constructions.gen_core(args.r, args.n, args.s)
+        H = constructions.gen_core(3, args.n, args.s)
     elif args.kind == "star_plus":
-        H = constructions.gen_star_plus(args.r, args.n, args.k)
+        H = constructions.gen_star_plus(3, args.n, args.k)
     else:
-        H = constructions.gen_complete(args.r, args.n)
+        H = constructions.gen_complete(3, args.n)
     sys.stdout.write(serialize(H))
     return 0
 
@@ -152,7 +150,7 @@ def _cmd_find(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.construction:
-        report = harness.verify_construction(args.construction, args.r, args.n, args.k)
+        report = harness.verify_construction(args.construction, 3, args.n, args.k)
     elif args.exhaustive:
         report = harness.exhaustive_check(args.n, args.min_degree, args.length)
     else:

@@ -3,10 +3,13 @@
 Three families on a fixed canonical vertex layout so serialized output is
 reproducible byte-for-byte:
 
-* star(r, n, k): vertex set A u B with A = {0..k-1}; all r-sets meeting A.
-* core(r, n, s): S = {0..s-1}; all r-sets containing S.
+* star(r, n, k): vertex set A u B with A = {0..k-1}; all triples meeting A.
+* core(r, n, s): S = {0..s-1}; all triples containing S.
 * star_plus(r, n, k): the star plus a 2-core embedded on the first two
   B-vertices {k, k+1}.
+
+The generators keep the uniformity r as their first argument and hand it
+to ``hypergraph.build``, which accepts only r = 3.
 """
 
 from __future__ import annotations

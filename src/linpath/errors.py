@@ -6,7 +6,7 @@ class LinpathError(Exception):
 
 
 class EdgeArityError(LinpathError):
-    """An edge does not have exactly r vertices."""
+    """An edge does not have exactly 3 vertices."""
 
 
 class VertexOutOfRangeError(LinpathError):
@@ -22,7 +22,7 @@ class DuplicateEdgeError(LinpathError):
 
 
 class NotPairUniformError(LinpathError):
-    """A pair-neighborhood query was made on a graph with r != 3."""
+    """A hypergraph with r != 3 was requested; only 3-graphs exist."""
 
 
 class ParseError(LinpathError):

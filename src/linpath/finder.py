@@ -37,7 +37,6 @@ from .constructions import theorem_threshold
 from .errors import (
     InvalidPathError,
     LemmaStepError,
-    NotPairUniformError,
     RotationPostconditionError,
     SplicePostconditionError,
     UnfoldPostconditionError,
@@ -298,8 +297,6 @@ def find_guaranteed(
     When stuck: LemmaStepFailed if the degree threshold promised a move,
     HypothesisUnmet otherwise.  Budget defaults to 16*n^2 accepted moves.
     """
-    if H.r != 3:
-        raise NotPairUniformError("guaranteed search implemented for 3-graphs only")
     if t <= 2:
         hit = oracle.find_path(H, t)
         if hit is not None:

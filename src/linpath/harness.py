@@ -123,7 +123,7 @@ def random_min_degree_graph(n: int, delta: int, seed: int) -> Hypergraph:
         chosen.add(tr)
         for v in tr:
             deg[v] += 1
-    return Hypergraph(3, n, tuple(sorted(chosen)))
+    return Hypergraph(n, tuple(sorted(chosen)))
 
 
 def verify_construction(
@@ -149,16 +149,15 @@ def verify_construction(
     )
     observed_delta = H.min_degree()
     report.add("min_degree", expected_delta, observed_delta, observed_delta == expected_delta)
-    if r == 3:
-        absent = oracle.find_path(H, free_len)
-        report.add(f"no_path_len_{free_len}", "absent",
-                   "absent" if absent is None else "present", absent is None)
-        if present_needs:
-            hit = oracle.find_path(H, present_len)
-            report.add(f"path_len_{present_len}", "present",
-                       "present" if hit is not None else "absent", hit is not None)
-            if hit is not None:
-                report.witnesses.append(" ".join(str(v + 1) for v in hit.vertices))
+    absent = oracle.find_path(H, free_len)
+    report.add(f"no_path_len_{free_len}", "absent",
+               "absent" if absent is None else "present", absent is None)
+    if present_needs:
+        hit = oracle.find_path(H, present_len)
+        report.add(f"path_len_{present_len}", "present",
+                   "present" if hit is not None else "absent", hit is not None)
+        if hit is not None:
+            report.witnesses.append(" ".join(str(v + 1) for v in hit.vertices))
     return report
 
 
@@ -257,7 +256,7 @@ def run_trials(config: ExperimentConfig) -> TrialsResult:
 
 def _random_3graph(n: int, p: float, rng: random.Random) -> Hypergraph:
     edges = tuple(tr for tr in all_triples(n) if rng.random() < p)
-    return Hypergraph(3, n, edges)
+    return Hypergraph(n, edges)
 
 
 def lemma_sweep(
@@ -267,17 +266,20 @@ def lemma_sweep(
     """Sweep sampled hosts and check the codegree machinery both ways.
 
     On hosts certified (t+1)-path-free with degree >= g_bound (and order
-    past the floor 2t+17): no (t+1)-cycle-plus may exist and every
-    enumerated t-path must satisfy all codegree bounds.  On all other
-    hosts, run the contrapositive arm: each overloaded configuration must
-    be convertible into a longer path or a cycle-plus witness.
+    past the floor 2t+17), run the strong arm: every enumerated t-path
+    must satisfy all codegree bounds.  On all other hosts, run the
+    contrapositive arm: each overloaded configuration must be convertible
+    into a longer path or a cycle-plus witness.
 
     family="star" (even t only) sweeps star(n, t//2) instead of random
     hosts, ignoring samples.  The star's longest path has exactly t edges
     and can be written down in closed form, so freeness is a construction
     guarantee and its t-paths are generated directly; exhaustive search is
-    priced out at the orders where the star meets the degree bound.  The
-    exhaustive cycle-plus check is likewise skipped above n=12.
+    priced out at the orders where the star meets the degree bound.
+
+    The lemma also says such hosts have no (t+1)-cycle-plus.  The strong
+    arm does not check that yet: it waits for a cycle-plus search that
+    finishes at orders n >= 2t+17.
     """
     rng = random.Random(seed)
     report = VerificationReport(
@@ -304,12 +306,6 @@ def lemma_sweep(
                 free and t >= 3 and n >= 2 * t + 17
                 and H.min_degree() >= g_bound(n, t)
             )
-            if strong and n <= 12:
-                cp = oracle.find_cycle_plus(H, t + 1)
-                report.add(
-                    f"n={n} sample={j} cycle_plus_absent", "absent",
-                    "absent" if cp is None else "present", cp is None,
-                )
             for path in paths:
                 ctx = make_context(H, path)
                 if strong:

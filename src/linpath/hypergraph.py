@@ -1,10 +1,11 @@
-"""Immutable simple r-uniform hypergraph with exact degree queries.
+"""Immutable simple 3-uniform hypergraph with exact degree queries.
 
-Vertices are the integers 0..n-1.  Edges are stored as sorted tuples, the
+Vertices are the integers 0..n-1.  Edges are stored as sorted triples, the
 edge set itself sorted lexicographically, and the structure never mutates
-after construction, so values are safe to share across threads.
+after construction, so values are safe to share across threads.  Only
+3-graphs exist: :func:`build` is the one place that checks uniformity.
 
-A 3-graph also keeps the link of every vertex pair as an int bitmask:
+The host also keeps the link of every vertex pair as an int bitmask:
 bit w of ``link(u, v)`` is set exactly when {u, v, w} is an edge.  Pair
 codegrees, edge tests and "common neighbours outside a vertex set" (the
 link masked by the set's complement) are then single int operations;
@@ -15,6 +16,8 @@ The text format (1-based labels, LF line endings):
     c optional comment
     p h3 <n> <m>
     e v1 v2 v3        (strictly increasing, m such lines)
+
+Only the header ``p h3`` is accepted; any other uniformity is refused.
 """
 
 from __future__ import annotations
@@ -33,31 +36,30 @@ from .errors import (
 
 
 class Hypergraph:
-    """A simple r-graph on vertex set {0,...,n-1}.
+    """A simple 3-graph on vertex set {0,...,n-1}.
 
     Use :func:`build` rather than calling the constructor directly; the
-    constructor assumes already-validated canonical edges.
+    constructor assumes already-validated canonical triples.
     """
 
-    __slots__ = ("r", "n", "edges", "_incident", "_link")
+    r = 3
+    __slots__ = ("n", "edges", "_incident", "_link")
 
-    def __init__(self, r: int, n: int, edges: tuple):
-        self.r = r
+    def __init__(self, n: int, edges: tuple):
         self.n = n
         self.edges = edges
         incident = [[] for _ in range(n)]
+        link = [[0] * n for _ in range(n)]
         for e in edges:
-            for v in e:
-                incident[v].append(e)
+            a, b, c = e
+            incident[a].append(e)
+            incident[b].append(e)
+            incident[c].append(e)
+            la, lb, lc = link[a], link[b], link[c]
+            la[b] = lb[a] = la[b] | (1 << c)
+            la[c] = lc[a] = la[c] | (1 << b)
+            lb[c] = lc[b] = lb[c] | (1 << a)
         self._incident = [tuple(es) for es in incident]
-        link = None
-        if r == 3:
-            link = [[0] * n for _ in range(n)]
-            for a, b, c in edges:
-                la, lb, lc = link[a], link[b], link[c]
-                la[b] = lb[a] = la[b] | (1 << c)
-                la[c] = lc[a] = la[c] | (1 << b)
-                lb[c] = lc[b] = lb[c] | (1 << a)
         self._link = link
 
     # -- basic queries ----------------------------------------------------
@@ -76,18 +78,14 @@ class Hypergraph:
         return len(self._incident[v])
 
     def link(self, u: int, v: int) -> int:
-        """Bitmask of all w with {u,v,w} an edge (3-graphs only).
+        """Bitmask of all w with {u,v,w} an edge.
 
         Unchecked: u and v must be vertices; the link of (u, u) is 0.
         """
-        if self._link is None:
-            raise NotPairUniformError("pair links need r=3")
         return self._link[u][v]
 
     def pair_neighborhood(self, u: int, v: int) -> tuple:
-        """All w with {u,v,w} an edge, sorted ascending (3-graphs only)."""
-        if self.r != 3:
-            raise NotPairUniformError("pair neighborhoods need r=3")
+        """All w with {u,v,w} an edge, sorted ascending."""
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
@@ -99,34 +97,32 @@ class Hypergraph:
         return min(len(self._incident[v]) for v in range(self.n))
 
     def has_edge(self, e: Iterable[int]) -> bool:
-        """Whether e is an edge; False for anything not an r-set of vertices."""
+        """Whether e is an edge; False for anything not a triple of vertices."""
         e = tuple(e)
-        if len(e) != self.r:
+        if len(e) != 3:
             return False
         for v in e:
             if not (isinstance(v, int) and 0 <= v < self.n):
                 return False
-        if self._link is not None:
-            a, b, c = e
-            return (self._link[a][b] >> c) & 1 == 1
-        return tuple(sorted(e)) in self._incident[e[0]]
+        a, b, c = e
+        return (self._link[a][b] >> c) & 1 == 1
 
     def _check_vertex(self, v: int) -> None:
         if not isinstance(v, int) or v < 0 or v >= self.n:
             raise VertexOutOfRangeError(f"vertex {v} not in [0, {self.n})")
 
-    # -- equality is (r, n, edge set); isomorphism is NOT equality --------
+    # -- equality is (n, edge set); isomorphism is NOT equality ----------
 
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return (self.r, self.n, self.edges) == (other.r, other.n, other.edges)
+        return (self.n, self.edges) == (other.n, other.edges)
 
     def __hash__(self):
-        return hash((self.r, self.n, self.edges))
+        return hash((self.n, self.edges))
 
     def __repr__(self):
-        return f"Hypergraph(r={self.r}, n={self.n}, m={len(self.edges)})"
+        return f"Hypergraph(n={self.n}, m={len(self.edges)})"
 
 
 def least_vertex(mask: int) -> int:
@@ -145,13 +141,15 @@ def mask_vertices(mask: int) -> tuple:
 
 
 def build(r: int, n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
-    """Validate and construct a simple r-graph on n vertices.
+    """Validate and construct a simple 3-graph on n vertices.
 
-    Raises EdgeArityError, VertexOutOfRangeError, RepeatedVertexError or
-    DuplicateEdgeError on malformed input; multi-edges are rejected.
+    r is the uniformity the caller claims, e.g. a file header's h<r>; any
+    r other than 3 raises NotPairUniformError.  Raises EdgeArityError,
+    VertexOutOfRangeError, RepeatedVertexError or DuplicateEdgeError on
+    malformed input; multi-edges are rejected.
     """
-    if r < 2:
-        raise EdgeArityError(f"uniformity r={r} must be >= 2")
+    if r != 3:
+        raise NotPairUniformError(f"uniformity r={r}: only 3-graphs are supported")
     if n < r:
         raise VertexOutOfRangeError(f"order n={n} smaller than r={r}")
     canon = []
@@ -170,12 +168,12 @@ def build(r: int, n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
             raise DuplicateEdgeError(f"edge {s} supplied twice")
         seen.add(s)
         canon.append(s)
-    return Hypergraph(r, n, tuple(sorted(canon)))
+    return Hypergraph(n, tuple(sorted(canon)))
 
 
 def serialize(H: Hypergraph) -> str:
     """Bit-exact text form: header then lexicographically sorted edges."""
-    lines = [f"p h{H.r} {H.n} {len(H.edges)}"]
+    lines = [f"p h3 {H.n} {len(H.edges)}"]
     for e in H.edges:
         lines.append("e " + " ".join(str(v + 1) for v in e))
     return "\n".join(lines) + "\n"

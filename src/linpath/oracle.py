@@ -28,12 +28,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .errors import (
-    InvalidParameterError,
-    NotPairUniformError,
-    OrderTooLargeError,
-    SearchExhaustedError,
-)
+from .errors import InvalidParameterError, OrderTooLargeError, SearchExhaustedError
 from .hypergraph import Hypergraph, all_triples, least_vertex, mask_vertices
 from .paths import CyclePlusWitness, LinearCycle, LinearPath
 
@@ -90,8 +85,6 @@ def find_path(H: Hypergraph, t: int, budget: Optional[int] = None) -> Optional[L
     backtracks already meets the least witness first.  ``budget`` caps the
     expanded states of this pruned search, start vertices included.
     """
-    if H.r != 3:
-        raise NotPairUniformError("path search implemented for 3-graphs only")
     if t < 1:
         raise InvalidParameterError(f"path length t={t} must be >= 1")
     if H.n < 2 * t + 1 or len(H.edges) < t:
@@ -144,8 +137,6 @@ def iter_paths(H: Hypergraph, t: int) -> Iterator[LinearPath]:
     """Every linear t-path, as vertex sequences in lexicographic order
     (each subgraph appears once per traversal direction).  No memoization:
     all hits are wanted."""
-    if H.r != 3:
-        raise NotPairUniformError("path search implemented for 3-graphs only")
     if t < 1:
         raise InvalidParameterError(f"path length t={t} must be >= 1")
     if H.n < 2 * t + 1 or len(H.edges) < t:
@@ -190,8 +181,6 @@ def find_cycle(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[
     expanded states: each partial sequence of one or more edges, the
     closing step included.
     """
-    if H.r != 3:
-        raise NotPairUniformError("cycle search implemented for 3-graphs only")
     if k < 3:
         raise InvalidParameterError(f"cycle length k={k} must be >= 3")
     if H.n < 2 * k or len(H.edges) < k:
@@ -283,4 +272,4 @@ def enumerate_hypergraphs(n: int, min_degree: int = 0) -> Iterator[Hypergraph]:
     for mask in range(1 << m):
         if all((mask & a).bit_count() >= min_degree for a in at):
             edges = tuple(triples[i] for i in range(m) if (mask >> i) & 1)
-            yield Hypergraph(3, n, edges)
+            yield Hypergraph(n, edges)

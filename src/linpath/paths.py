@@ -15,6 +15,18 @@ from .errors import InvalidPathError
 from .hypergraph import Hypergraph
 
 
+def _check_on_host(H: Hypergraph, vertices: tuple, edges) -> None:
+    """Distinct vertices of H, and every triple of ``edges`` an edge of H."""
+    if len(set(vertices)) != len(vertices):
+        raise InvalidPathError(f"repeated vertex in {vertices}")
+    for x in vertices:
+        if not 0 <= x < H.n:
+            raise InvalidPathError(f"vertex {x} outside host graph")
+    for e in edges:
+        if not H.has_edge(e):
+            raise InvalidPathError(f"triple {e} is not an edge")
+
+
 @dataclass(frozen=True)
 class LinearPath:
     vertices: tuple
@@ -48,14 +60,7 @@ class LinearPath:
         v = self.vertices
         if len(v) < 3 or len(v) % 2 == 0:
             raise InvalidPathError(f"sequence of {len(v)} vertices is not 2t+1")
-        if len(set(v)) != len(v):
-            raise InvalidPathError(f"repeated vertex in {v}")
-        for x in v:
-            if not 0 <= x < H.n:
-                raise InvalidPathError(f"vertex {x} outside host graph")
-        for e in self.edges():
-            if not H.has_edge(e):
-                raise InvalidPathError(f"triple {e} is not an edge")
+        _check_on_host(H, v, self.edges())
         return self
 
 
@@ -79,14 +84,7 @@ class LinearCycle:
         v = self.vertices
         if len(v) < 6 or len(v) % 2 == 1:
             raise InvalidPathError(f"cycle needs an even sequence >= 6, got {len(v)}")
-        if len(set(v)) != len(v):
-            raise InvalidPathError(f"repeated vertex in {v}")
-        for x in v:
-            if not 0 <= x < H.n:
-                raise InvalidPathError(f"vertex {x} outside host graph")
-        for e in self.edges():
-            if not H.has_edge(e):
-                raise InvalidPathError(f"triple {e} is not an edge")
+        _check_on_host(H, v, self.edges())
         return self
 
 

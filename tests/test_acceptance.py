@@ -146,7 +146,7 @@ def test_07_oracle_vs_bruteforce():
     for _ in range(200):
         n = rng.randint(4, 6)
         edges = tuple(tr for tr in all_triples(n) if rng.random() < rng.uniform(0.1, 0.8))
-        H = Hypergraph(3, n, edges)
+        H = Hypergraph(n, edges)
         for t in (1, 2):
             ours = find_path(H, t)
             # brute force scans in lexicographic order: the least witness

@@ -159,6 +159,21 @@ class TestPinnedOutput:
     )
     # sha256 of `experiment --n 23 --length 3 --min-degree 29 --trials 20 --seed 1`
     EXPERIMENT_SHA256 = "86c2136c4eb22e812cfb291f27315149d9d4cb8769086e82cf278a356fe16d25"
+    # sha256 of `gen` stdout, one invocation per kind
+    GEN_SHA256 = {
+        "star --n 9 --k 2": "ed8487d7c590452230683e87077508c256fedcbeac3512a9348cba3e43baf42a",
+        "core --n 9 --s 2": "06dcc5407d6d0aef5a8692d73190cc801b1cbdf063bf9a53549ac89b23ea5468",
+        "star_plus --n 11 --k 2": "822d4d6d7050538c2dcbb021b798bc4ede9c261ffd227d63eacd3f29902f001a",
+        "complete --n 7": "999c9ea616cf31ffebfe3ea560695533fbab7d1b03b078a838eb2238ce5f692f",
+    }
+    VERIFY_STAR_PLUS = (
+        "subject: star_plus(r=3, n=11, k=2)\n"
+        "check min_degree: expected 18 observed 18 PASS\n"
+        "check no_path_len_6: expected absent observed absent PASS\n"
+        "check path_len_5: expected present observed present PASS\n"
+        "witness: 3 4 5 6 1 7 8 9 2 10 11\n"
+        "result: PASS\n"
+    )
 
     def test_star_plus_trace(self, capsys, tmp_path):
         # splice fires, then every move is tried at length 6 and none applies
@@ -185,6 +200,18 @@ class TestPinnedOutput:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.EXPERIMENT_SHA256
+
+    @pytest.mark.parametrize("kind", sorted(GEN_SHA256))
+    def test_gen(self, capsys, kind):
+        code, out, _ = run_cli(capsys, "gen", "--kind", *kind.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GEN_SHA256[kind]
+
+    def test_verify_star_plus(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--construction", "star_plus", "--n", "11", "--k", "2"
+        )
+        assert (code, out) == (0, self.VERIFY_STAR_PLUS)
 
 
 class TestVerify:
@@ -273,6 +300,30 @@ def run_process(cmd):
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestOtherUniformity:
+    """Only 3-graphs exist: another uniformity is refused with exit 2 and a
+    message, never a traceback."""
+
+    @pytest.fixture
+    def h4(self, tmp_path):
+        f = tmp_path / "h4.h3"
+        f.write_text("p h4 4 1\ne 1 2 3 4\n")
+        return str(f)
+
+    @pytest.mark.parametrize("command", [("find", "--length", "1"), ("oracle", "--path", "1")])
+    def test_input_refused(self, h4, command):
+        name, *rest = command
+        proc = run_process([sys.executable, "-m", "linpath", name, "-i", h4, *rest])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_gen_has_no_r_option(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--kind", "star", "--r", "4", "--n", "7")
+        assert (code, out) == (2, "")
+        assert "--r" in err
 
 
 class TestEntryPoint:

@@ -169,7 +169,7 @@ class TestUnfold:
                 break
             n = rng.randint(7, 10)
             edges = tuple(tr for tr in all_triples(n) if rng.random() < 0.25)
-            H = Hypergraph(3, n, edges)
+            H = Hypergraph(n, edges)
             w = find_cycle_plus(H, 3)
             if w is None:
                 continue

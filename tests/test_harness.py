@@ -192,10 +192,11 @@ class TestLemmaSweep:
         report = lemma_sweep(range(25, 28), t=4, samples=1, seed=0, family="star")
         assert report.passed
         assert any("bounds" in c.name for c in report.checks)
+        assert len(report.checks) == 54  # the strong arm: bounds checks only
 
     def test_random_family(self):
         report = lemma_sweep(
             range(7, 10), t=2, samples=4, seed=5, max_paths=25, family="random"
         )
         assert report.passed
-        assert report.checks  # the contrapositive arm fired at least once
+        assert len(report.checks) == 668  # the contrapositive arm fired

@@ -95,9 +95,9 @@ class TestPairNeighborhood:
         assert H.pair_neighborhood(3, 4) == ()
 
     def test_requires_r3(self):
-        H = build(4, 5, [(0, 1, 2, 3)])
+        # pair neighbourhoods exist only in 3-graphs, the only kind build makes
         with pytest.raises(NotPairUniformError):
-            H.pair_neighborhood(0, 1)
+            build(4, 5, [(0, 1, 2, 3)])
 
 
 class TestSerialization:
@@ -118,6 +118,10 @@ class TestSerialization:
     def test_parse_bad_header(self):
         with pytest.raises(ParseError):
             parse("p x3 3 1\ne 1 2 3\n")
+
+    def test_parse_other_uniformity(self):
+        with pytest.raises(NotPairUniformError):
+            parse("p h4 4 1\ne 1 2 3 4\n")
 
     def test_parse_edge_count_mismatch(self):
         with pytest.raises(ParseError):

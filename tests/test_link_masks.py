@@ -37,7 +37,7 @@ def random_hosts():
     for _ in range(40):
         n = rng.randint(5, 12)
         p = rng.uniform(0.05, 0.6)
-        yield Hypergraph(3, n, tuple(tr for tr in all_triples(n) if rng.random() < p))
+        yield Hypergraph(n, tuple(tr for tr in all_triples(n) if rng.random() < p))
 
 
 def star_grid():
@@ -129,14 +129,7 @@ class TestHasEdge:
             assert not H.has_edge(e)
 
     def test_other_uniformity(self):
-        H = gen_star(4, 7, 1)
-        edge_set = set(H.edges)
-        for e in combinations(range(7), 4):
-            assert H.has_edge(e) == (e in edge_set)
-            assert H.has_edge(reversed(e)) == (e in edge_set)
-        assert not H.has_edge((0, 1, 2))
-        assert not H.has_edge((0, 0, 1, 2))
-
-    def test_link_needs_r3(self):
-        with pytest.raises(NotPairUniformError):
-            gen_star(4, 7, 1).link(0, 1)
+        # only 3-graphs are built, so every host has pair links
+        for r, n in ((4, 7), (2, 5)):
+            with pytest.raises(NotPairUniformError):
+                gen_star(r, n, 1)

@@ -21,7 +21,7 @@ from bruteforce import brute_force_cycle, brute_force_path, brute_force_paths
 
 def random_3graph(n, p, rng):
     edges = tuple(t for t in all_triples(n) if rng.random() < p)
-    return Hypergraph(3, n, edges)
+    return Hypergraph(n, edges)
 
 
 class TestFindPath:
