@@ -133,3 +133,15 @@ class TestHasEdge:
         for r, n in ((4, 7), (2, 5)):
             with pytest.raises(NotPairUniformError):
                 gen_star(r, n, 1)
+
+    def test_link_needs_r3(self):
+        # pair links exist only on 3-graphs: a 4-graph is refused before
+        # any link could be asked of it
+        with pytest.raises(NotPairUniformError):
+            build(4, 7, [(0, 1, 2, 3)])
+        H = gen_star(3, 7, 1)
+        edge_set = set(H.edges)
+        for u, v in combinations(range(7), 2):
+            expected = [w for w in range(7) if tuple(sorted((u, v, w))) in edge_set]
+            assert mask_vertices(H.link(u, v)) == tuple(expected)
+            assert H.link(v, u) == H.link(u, v)
