@@ -24,8 +24,7 @@ def gen_star(r: int, n: int, k: int) -> Hypergraph:
     """All r-subsets of {0..n-1} meeting A = {0..k-1}."""
     if not (n >= r >= 2 and 1 <= k < n):
         raise InvalidParameterError(f"gen_star needs n >= r >= 2, 1 <= k < n; got r={r} n={n} k={k}")
-    edges = [e for e in combinations(range(n), r) if e[0] < k]
-    return build(r, n, edges)
+    return build(r, n, (e for e in combinations(range(n), r) if e[0] < k))
 
 
 def gen_core(r: int, n: int, s: int) -> Hypergraph:
@@ -33,8 +32,7 @@ def gen_core(r: int, n: int, s: int) -> Hypergraph:
     if not (1 <= s <= r <= n):
         raise InvalidParameterError(f"gen_core needs 1 <= s <= r <= n; got r={r} n={n} s={s}")
     head = tuple(range(s))
-    edges = [head + tail for tail in combinations(range(s, n), r - s)]
-    return build(r, n, edges)
+    return build(r, n, (head + tail for tail in combinations(range(s, n), r - s)))
 
 
 def gen_star_plus(r: int, n: int, k: int) -> Hypergraph:

@@ -18,13 +18,13 @@ always applies until the target length is reached; when the threshold is
 met and no move applies, the run reports LemmaStepFailed rather than
 guessing, because that outcome would witness a bug.
 
-Each accepted path gets one context, built from scratch rather than
-patched: the index bookkeeping after a prefix reversal is error-prone, and
-a context is O(s) int operations on the host's pair-link masks (outside
-neighbours are a link masked by the path's complement).  find_guaranteed
-hands the context built when a move is accepted to the next step; rotate
-also builds one for the reversed path when it works at the right end, and
-one to check its postcondition.
+Every move reads a PathContext and returns the new path's context (or
+None).  make_context is the one place a path is validated; it builds a
+context from scratch rather than patching one, because the index
+bookkeeping after a prefix reversal is error-prone and a context is O(s)
+int operations on the host's pair-link masks.  Each accepted path thus
+gets one context; the only other one is built by rotate for the reversed
+path when it works at the right end.
 """
 
 from __future__ import annotations
@@ -49,25 +49,27 @@ from .report import VerificationReport, ViolationReport
 
 @dataclass(frozen=True)
 class PathContext:
-    """Per-path rotation state, built from scratch by make_context.
+    """A validated path on its host, with its rotation state (make_context).
 
-    outside maps an (a, b) index pair (a < b) to the bitmask of common
-    neighbors of x_a, x_b lying outside the path; d counts its bits and
-    outside_set decodes it.  M and T partition
+    free masks the vertices off the path; outside_mask(a, b) reads the
+    common neighbors of x_a, x_b outside the path from the host's pair
+    links, d counts them and outside_set decodes them.  M and T partition
     [0, s-1]; N_left / N_right are the endpoint refinement sets.  Their
     disjointness is a consequence derived under the theorem's hypotheses,
     so it is reported by callers, never asserted here.
     """
 
     path: LinearPath
-    outside: dict
+    host: Hypergraph
+    free: int
     M: frozenset
     T: frozenset
     N_left: frozenset
     N_right: frozenset
 
     def outside_mask(self, a: int, b: int) -> int:
-        return self.outside[(a, b) if a < b else (b, a)]
+        x = self.path.vertices
+        return self.host.link(x[a], x[b]) & self.free
 
     def outside_set(self, a: int, b: int) -> tuple:
         """The outside common neighbors of x_a and x_b, ascending."""
@@ -79,19 +81,13 @@ class PathContext:
 
 
 def make_context(H: Hypergraph, P: LinearPath) -> PathContext:
+    """P's context on H; raises InvalidPathError unless P is a linear path
+    of H."""
     P.validate(H)
     x = P.vertices
     s = P.length
-    free = ~P.vertex_mask()
-    pairs = set()
-    for i in range(1, 2 * s + 1):
-        pairs.add((0, i))
-    for i in range(0, 2 * s):
-        pairs.add((i, 2 * s))
-    for i in range(s):
-        pairs.add((2 * i, 2 * i + 2))
-    outside = {(a, b): H.link(x[a], x[b]) & free for a, b in pairs}
-    d = lambda a, b: outside[(a, b) if a < b else (b, a)].bit_count()
+    free = ((1 << H.n) - 1) & ~P.vertex_mask()
+    d = lambda a, b: (H.link(x[a], x[b]) & free).bit_count()
     M = frozenset(i for i in range(s) if d(2 * i, 2 * i + 2) >= 2)
     T = frozenset(range(s)) - M
     N_left = frozenset(
@@ -102,33 +98,34 @@ def make_context(H: Hypergraph, P: LinearPath) -> PathContext:
         {i for i in M if d(2 * i, 2 * s) >= 3}
         | {i for i in T if d(2 * i + 1, 2 * s) >= 2}
     )
-    return PathContext(P, outside, M, T, N_left, N_right)
+    return PathContext(P, H, free, M, T, N_left, N_right)
 
 
-def extend(H: Hypergraph, P: LinearPath) -> Optional[LinearPath]:
+def extend(H: Hypergraph, ctx: PathContext) -> Optional[PathContext]:
     """Append an edge with two fresh vertices at the right endpoint, or at
     the left one (via reversal); the lexicographically least fresh pair
-    wins.  None when every edge at both endpoints re-enters the path."""
-    P.validate(H)
-    free = ((1 << H.n) - 1) & ~P.vertex_mask()
-    for seq in (P.vertices, tuple(reversed(P.vertices))):
+    wins.  Returns the longer path's context, or None when every edge at
+    both endpoints re-enters the path."""
+    x = ctx.path.vertices
+    free = ctx.free
+    for seq in (x, tuple(reversed(x))):
         last = seq[-1]
         for w1 in mask_vertices(free):
             fresh = H.link(last, w1) & free  # never holds w1 itself
             if fresh:
-                return LinearPath(seq + (w1, least_vertex(fresh))).validate(H)
+                return make_context(H, LinearPath(seq + (w1, least_vertex(fresh))))
     return None
 
 
-def rotate(H: Hypergraph, ctx: PathContext, end: str = "left") -> Optional[LinearPath]:
+def rotate(H: Hypergraph, ctx: PathContext, end: str = "left") -> Optional[PathContext]:
     """Reverse a prefix through an outside vertex, growing the M-set.
 
     Fires on the first k' in T (increasing) whose outside codegree with the
     chosen endpoint reaches max(2|M|+1, 3).  The bridging vertex v is the
     smallest one avoiding, for every k in M with exactly two outside
     witnesses, that pair's outside set; pigeonhole guarantees one exists.
-    The result keeps the length, replaces x_{2k'+1} by v in the vertex set,
-    and has strictly more M-members (asserted by brute recomputation).
+    The rotated path keeps the length, replaces x_{2k'+1} by v in the vertex
+    set, and has strictly more M-members (asserted on the context returned).
     """
     if end == "right":
         ctx = make_context(H, ctx.path.reversed())
@@ -151,30 +148,29 @@ def rotate(H: Hypergraph, ctx: PathContext, end: str = "left") -> Optional[Linea
             )
         v = least_vertex(candidates)
         new_seq = tuple(reversed(x[: 2 * kp + 1])) + (v,) + x[2 * kp + 2 :]
-        new_path = _checked(H, new_seq, ctx.path.length,
-                            RotationPostconditionError, "rotated")
+        new_ctx = _checked(H, new_seq, ctx.path.length,
+                           RotationPostconditionError, "rotated")
         expected_vset = (set(x) - {x[2 * kp + 1]}) | {v}
         if set(new_seq) != expected_vset:
             raise RotationPostconditionError("rotation vertex-set relation violated")
-        new_M = make_context(H, new_path).M
-        if len(new_M) < len(ctx.M) + 1:
+        if len(new_ctx.M) < len(ctx.M) + 1:
             raise RotationPostconditionError(
-                f"|M| did not grow: {len(ctx.M)} -> {len(new_M)}"
+                f"|M| did not grow: {len(ctx.M)} -> {len(new_ctx.M)}"
             )
-        return new_path
+        return new_ctx
     return None
 
 
-def _checked(H: Hypergraph, seq: tuple, length: int, error: type, what: str) -> LinearPath:
-    """seq as a validated linear path of the given length; a move whose
-    output is anything else raises its own postcondition error."""
+def _checked(H: Hypergraph, seq: tuple, length: int, error: type, what: str) -> PathContext:
+    """The context of seq as a linear path of the given length; a move
+    whose output is anything else raises its own postcondition error."""
     try:
-        new_path = LinearPath(seq).validate(H)
+        new_ctx = make_context(H, LinearPath(seq))
     except InvalidPathError as exc:
         raise error(f"{what} sequence invalid: {exc}") from exc
-    if new_path.length != length:
-        raise error(f"{what} sequence has length {new_path.length}, expected {length}")
-    return new_path
+    if new_ctx.path.length != length:
+        raise error(f"{what} sequence has length {new_ctx.path.length}, expected {length}")
+    return new_ctx
 
 
 def _splice_odd(x: tuple, k: int, y: int, z: int) -> tuple:
@@ -197,7 +193,7 @@ def _distinct_pair(first: int, second: int):
     return None
 
 
-def improve_via_codegree(H: Hypergraph, ctx: PathContext) -> Optional[LinearPath]:
+def improve_via_codegree(H: Hypergraph, ctx: PathContext) -> Optional[PathContext]:
     """Splice the path into one longer through two outside witnesses.
 
     Two configurations are scanned, in order and each by increasing k:
@@ -207,14 +203,14 @@ def improve_via_codegree(H: Hypergraph, ctx: PathContext) -> Optional[LinearPath
     * a connector pair (2k, 2k+2) and an endpoint both see outside
       vertices, again distinct.
 
-    The returned path has length exactly t+1 and is validated; a failed
-    splice raises SplicePostconditionError.
+    Returns the context of the spliced path, which has length exactly t+1;
+    a failed splice raises SplicePostconditionError.
     """
     x = ctx.path.vertices
     t = ctx.path.length
     rx = tuple(reversed(x))
 
-    def finish(seq: tuple) -> LinearPath:
+    def finish(seq: tuple) -> PathContext:
         return _checked(H, seq, t + 1, SplicePostconditionError, "spliced")
 
     for k in range(t):
@@ -240,13 +236,14 @@ def improve_via_codegree(H: Hypergraph, ctx: PathContext) -> Optional[LinearPath
     return None
 
 
-def unfold_cycle_plus(H: Hypergraph, W: CyclePlusWitness) -> Optional[LinearPath]:
+def unfold_cycle_plus(H: Hypergraph, W: CyclePlusWitness) -> Optional[PathContext]:
     """Reopen a (t+1)-cycle-with-parallel-edge into a linear (t+1)-path.
 
     Scans the edges at the parallel vertex v for one meeting the cycle's
     closure in at most one vertex, then walks the cycle from the meeting
-    point.  Absence means every such edge meets the closure twice, which
-    caps d_H(v) at C(2t+2, 2).
+    point, and returns the linear (t+1)-path's context.  Absence means
+    every such edge meets the closure twice, which caps d_H(v) at
+    C(2t+2, 2).
     """
     W.validate(H)
     cyc = W.cycle_vertices()
@@ -256,7 +253,7 @@ def unfold_cycle_plus(H: Hypergraph, W: CyclePlusWitness) -> Optional[LinearPath
     v = W.parallel
     pos = {u: i for i, u in enumerate(cyc)}
 
-    def finish(seq: tuple) -> LinearPath:
+    def finish(seq: tuple) -> PathContext:
         return _checked(H, seq, t + 1, UnfoldPostconditionError, "unfolded")
 
     for e in H.incident_edges(v):
@@ -291,9 +288,8 @@ def find_guaranteed(
 
     Lengths 1 and 2 are delegated to the exact oracle.  For t >= 3 the
     loop tries extend, splice, rotate (at the endpoint with the smaller
-    refinement set first), then unfold.  The context of the current path
-    is built once, when its move is accepted, and serves every later step
-    on that path.
+    refinement set first), then unfold.  Each move returns the context of
+    the path it built, which serves every later step on that path.
     When stuck: LemmaStepFailed if the degree threshold promised a move,
     HypothesisUnmet otherwise.  Budget defaults to 16*n^2 accepted moves.
     """
@@ -321,12 +317,11 @@ def find_guaranteed(
     ctx = make_context(H, LinearPath(H.edges[0]))
     moves = 0
 
-    def accept(kind: str, new_path: LinearPath) -> PathContext:
-        """The new path's context, once the move is shown to advance."""
+    def accept(kind: str, new_ctx: PathContext) -> PathContext:
+        """new_ctx, once its move is shown to advance."""
         nonlocal moves
-        new_ctx = make_context(H, new_path)
         mark = (ctx.path.length, len(ctx.M))
-        new_mark = (new_path.length, len(new_ctx.M))
+        new_mark = (new_ctx.path.length, len(new_ctx.M))
         if new_mark <= mark:
             raise LemmaStepError(
                 f"move {kind} did not advance (length, |M|): {mark} -> {new_mark}"
@@ -347,7 +342,7 @@ def find_guaranteed(
                 ctx,
             )
         try:
-            longer = extend(H, path)
+            longer = extend(H, ctx)
             if longer is not None:
                 ctx = accept("extend", longer)
                 continue

@@ -14,6 +14,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice
 from math import comb
 from pathlib import Path
@@ -341,16 +342,18 @@ def _contrapositive_checks(
 ) -> None:
     t = ctx.path.length
     d = ctx.d
+    # the splice depends only on ctx: run it at the first overload, once
+    splice = cache(lambda: improve_via_codegree(H, ctx))
     for k in range(t):
         i, j = d(0, 2 * k + 1), d(2 * k + 1, 2 * t)
         if i > 0 and j > 0 and i + j >= 3:
-            hit = improve_via_codegree(H, ctx)
+            hit = splice()
             report.add(f"{tag} odd_overload k={k} improves", "present",
                        "present" if hit is not None else "absent", hit is not None)
         for endpoint in (0, 2 * t):
             a, b = d(2 * k, 2 * k + 2), d(endpoint, 2 * k + 1)
             if a > 0 and b > 0 and a + b >= 3:
-                hit = improve_via_codegree(H, ctx)
+                hit = splice()
                 report.add(f"{tag} connector_overload k={k} improves", "present",
                            "present" if hit is not None else "absent", hit is not None)
         i2, j2 = d(0, 2 * k + 2), d(2 * k, 2 * t)

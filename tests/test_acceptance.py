@@ -117,9 +117,10 @@ def test_06_rotation_invariants():
     ok = True
     for H, P in _planted_rotation_instances():
         ctx = make_context(H, P)
-        new = rotate(H, ctx, "left")
-        if new is None:
+        new_ctx = rotate(H, ctx, "left")
+        if new_ctx is None:
             continue
+        new = new_ctx.path
         fired += 1
         try:
             new.validate(H)
@@ -200,8 +201,8 @@ def test_08a_planted_splice_succeeds():
         hit = improve_via_codegree(H, make_context(H, P))
         ok &= hit is not None
         if hit is not None:
-            hit.validate(H)
-            ok &= hit.length == P.length + 1
+            hit.path.validate(H)
+            ok &= hit.path.length == P.length + 1
         if not ok:
             break
     verdict(f"planted-splice-succeeds ({total} instances)", ok)
@@ -240,7 +241,7 @@ def test_08b_unfold_on_complete_hosts():
             hit = unfold_cycle_plus(H, w)
             ok &= hit is not None
             if hit is not None:
-                ok &= hit.length == t + 1
+                ok &= hit.path.length == t + 1
             if not ok:
                 break
         if not ok:

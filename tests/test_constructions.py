@@ -1,7 +1,9 @@
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from linpath import constructions
 from linpath.constructions import (
     g_bound,
     gen_complete,
@@ -12,7 +14,7 @@ from linpath.constructions import (
     star_plus_min_degree,
     theorem_threshold,
 )
-from linpath.errors import InvalidParameterError
+from linpath.errors import InvalidParameterError, NotPairUniformError
 
 
 class TestStar:
@@ -58,6 +60,29 @@ class TestStarPlus:
         H = gen_star_plus(3, 9, 2)
         extra = [e for e in H.edges if e[0] >= 2]
         assert extra == [(2, 3, t) for t in range(4, 9)]
+
+
+class TestOtherUniformity:
+    @pytest.mark.parametrize("gen, args", [
+        (gen_star, (8, 26, 1)),
+        (gen_core, (8, 26, 1)),
+        (gen_star_plus, (8, 26, 1)),
+        (gen_complete, (8, 26)),
+    ], ids=["star", "core", "star_plus", "complete"])
+    def test_refused_before_listing_subsets(self, monkeypatch, gen, args):
+        # build refuses r != 3 before it draws an edge, so a wrong r costs
+        # nothing even where C(n, r) is large
+        drawn = []
+
+        def counting(items, r):
+            for subset in combinations(items, r):
+                drawn.append(subset)
+                yield subset
+
+        monkeypatch.setattr(constructions, "combinations", counting)
+        with pytest.raises(NotPairUniformError):
+            gen(*args)
+        assert drawn == []
 
 
 class TestComplete:

@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from linpath.constructions import gen_complete, gen_star, theorem_threshold
+from linpath import finder
+from linpath.constructions import gen_complete, gen_star, gen_star_plus, theorem_threshold
 from linpath.errors import InvalidPathError
 from linpath.finder import (
     check_lemma_bounds,
@@ -23,6 +24,8 @@ from linpath.oracle import find_cycle_plus, find_path, iter_paths
 from linpath.paths import CyclePlusWitness, LinearPath
 from linpath.report import ViolationReport
 
+from bruteforce import reference_context
+
 
 def bare_path_graph(t, n=None):
     """Exactly the edges of one linear t-path on vertices 0..2t."""
@@ -35,7 +38,8 @@ class TestMakeContext:
         H, P = bare_path_graph(3)
         ctx = make_context(H, P)
         assert ctx.M == frozenset()
-        assert all(ctx.d(a, b) == 0 for (a, b) in ctx.outside)
+        outside = reference_context(H, P.vertices)[0]
+        assert all(ctx.d(a, b) == 0 for (a, b) in outside)
 
     def test_star_context(self):
         H = gen_star(3, 20, 1)
@@ -54,23 +58,25 @@ class TestMakeContext:
 
 class TestExtend:
     def test_complete_extends(self):
-        hit = extend(gen_complete(3, 7), LinearPath((0, 1, 2)))
-        assert hit is not None and hit.length == 2
+        H = gen_complete(3, 7)
+        hit = extend(H, make_context(H, LinearPath((0, 1, 2))))
+        assert hit is not None and hit.path.length == 2
 
     def test_star_blocked(self):
-        assert extend(gen_star(3, 8, 1), LinearPath((1, 3, 0, 4, 5))) is None
+        H = gen_star(3, 8, 1)
+        assert extend(H, make_context(H, LinearPath((1, 3, 0, 4, 5)))) is None
 
     def test_single_edge_graph_blocked(self):
         H, P = bare_path_graph(1)
-        assert extend(H, P) is None
+        assert extend(H, make_context(H, P)) is None
 
     def test_left_end_used_when_right_blocked(self):
         # the only growth edge sits at the left endpoint 0
         H = build(3, 7, [(0, 1, 2), (0, 5, 6)])
-        hit = extend(H, LinearPath((0, 1, 2)))
+        hit = extend(H, make_context(H, LinearPath((0, 1, 2))))
         assert hit is not None
-        assert hit.vertices == (2, 1, 0, 5, 6)
-        hit.validate(H)
+        assert hit.path.vertices == (2, 1, 0, 5, 6)
+        hit.path.validate(H)
 
 
 class TestRotate:
@@ -95,15 +101,15 @@ class TestRotate:
         assert ctx.T == frozenset({0, 1})
         new = rotate(H, ctx, "left")
         assert new is not None
-        assert new.vertices == (2, 1, 0, 5, 4)
-        assert new.length == P.length
-        new_ctx = make_context(H, new)
-        assert len(new_ctx.M) >= len(ctx.M) + 1
+        assert new.path.vertices == (2, 1, 0, 5, 4)
+        assert new.path.length == P.length
+        assert new.M == make_context(H, new.path).M
+        assert len(new.M) >= len(ctx.M) + 1
 
     def test_vertex_set_relation(self):
         H = build(3, 9, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (0, 4, 6), (0, 4, 7)])
         P = LinearPath((0, 1, 2, 3, 4))
-        new = rotate(H, make_context(H, P), "left")
+        new = rotate(H, make_context(H, P), "left").path
         dropped = set(P.vertices) - set(new.vertices)
         gained = set(new.vertices) - set(P.vertices)
         assert dropped == {3} and gained == {5}
@@ -119,8 +125,8 @@ class TestImprove:
         ctx = make_context(H, LinearPath((0, 1, 2, 3, 4)))
         hit = improve_via_codegree(H, ctx)
         assert hit is not None
-        assert hit.vertices == (2, 3, 4, 6, 1, 5, 0)
-        assert hit.length == 3
+        assert hit.path.vertices == (2, 3, 4, 6, 1, 5, 0)
+        assert hit.path.length == 3
 
     def test_shared_single_witness_absent(self):
         # y = z = 5 is the only candidate: distinctness fails
@@ -133,16 +139,16 @@ class TestImprove:
         H = build(3, 7, [(0, 1, 2), (2, 3, 4), (0, 2, 5), (0, 1, 6)])
         ctx = make_context(H, LinearPath((0, 1, 2, 3, 4)))
         hit = improve_via_codegree(H, ctx)
-        assert hit is not None and hit.length == 3
-        hit.validate(H)
+        assert hit is not None and hit.path.length == 3
+        hit.path.validate(H)
 
     def test_planted_connector_right(self):
         # mirrored: witnesses attach at the right endpoint
         H = build(3, 7, [(0, 1, 2), (2, 3, 4), (2, 4, 5), (3, 4, 6)])
         ctx = make_context(H, LinearPath((0, 1, 2, 3, 4)))
         hit = improve_via_codegree(H, ctx)
-        assert hit is not None and hit.length == 3
-        hit.validate(H)
+        assert hit is not None and hit.path.length == 3
+        hit.path.validate(H)
 
 
 class TestUnfold:
@@ -151,8 +157,8 @@ class TestUnfold:
         w = find_cycle_plus(H, 3)
         hit = unfold_cycle_plus(H, w)
         assert hit is not None
-        assert hit.length == w.path.length + 1
-        hit.validate(H)
+        assert hit.path.length == w.path.length + 1
+        hit.path.validate(H)
 
     def test_bare_cycle_plus_absent(self):
         P = LinearPath((0, 1, 2, 3, 4))
@@ -270,6 +276,38 @@ class TestFindGuaranteed:
         result = find_guaranteed(build(3, 25, []), 3)
         assert isinstance(result, ViolationReport)
         assert result.reason == "HypothesisUnmet"
+
+
+class TestValidateOnce:
+    """Each accepted path is validated once, by the make_context call that
+    builds its context; the moves never re-validate a path."""
+
+    @pytest.mark.parametrize("make_host, t, kinds, validates, contexts", [
+        # the final prefix is validated once more; no context for it
+        (lambda: random_min_degree_graph(27, 75, 0), 5, ["extend"] * 4, 6, 5),
+        # a starting context, five accepted paths and the reversed path
+        # that rotate builds to try the right end
+        (lambda: gen_star_plus(3, 15, 3), 7,
+         ["extend", "extend", "splice", "extend", "extend"], 7, 7),
+    ], ids=["random-n27-t5", "star_plus-n15-t7"])
+    def test_counts(self, monkeypatch, make_host, t, kinds, validates, contexts):
+        H = make_host()
+        counts = {"validate": 0, "make_context": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(LinearPath, "validate",
+                            counting("validate", LinearPath.validate))
+        monkeypatch.setattr(finder, "make_context",
+                            counting("make_context", finder.make_context))
+        moves = []
+        find_guaranteed(H, t, on_move=lambda kind, length, m: moves.append(kind))
+        assert moves == kinds
+        assert counts == {"validate": validates, "make_context": contexts}
 
 
 class TestPathReversal:

@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from linpath import oracle
+from linpath import harness, oracle
 from linpath.constructions import gen_star, theorem_threshold
 from linpath.errors import InfeasibleDegreeError, InvalidParameterError
 from linpath.harness import (
@@ -200,3 +200,20 @@ class TestLemmaSweep:
         )
         assert report.passed
         assert len(report.checks) == 668  # the contrapositive arm fired
+
+    def test_one_splice_per_path(self, monkeypatch):
+        # the splice's answer depends only on the context, so a path with
+        # several overloads still runs it once
+        seen = []
+
+        def recording(H, ctx):
+            seen.append(ctx)
+            return improve(H, ctx)
+
+        improve = harness.improve_via_codegree
+        monkeypatch.setattr(harness, "improve_via_codegree", recording)
+        report = lemma_sweep(
+            range(7, 10), t=2, samples=4, seed=5, max_paths=25, family="random"
+        )
+        assert len(report.checks) == 668
+        assert seen and len({id(ctx) for ctx in seen}) == len(seen)

@@ -70,12 +70,11 @@ def random_paths(H, rng, count):
 
 def check_paths(H, paths):
     for P in paths:
-        hit = extend(H, P)
-        assert (hit.vertices if hit else None) == reference_extend(H, P.vertices)
         ctx = make_context(H, P)
+        hit = extend(H, ctx)
+        assert (hit.path.vertices if hit else None) == reference_extend(H, P.vertices)
         outside, M, T, N_left, N_right = reference_context(H, P.vertices)
         assert (ctx.M, ctx.T, ctx.N_left, ctx.N_right) == (M, T, N_left, N_right)
-        assert set(ctx.outside) == set(outside)
         for (a, b), witnesses in outside.items():
             assert ctx.outside_set(a, b) == ctx.outside_set(b, a) == witnesses
             assert ctx.d(a, b) == len(witnesses)
