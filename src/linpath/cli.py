@@ -1,9 +1,10 @@
 """Command-line surface: gen, oracle, find, verify, experiment.
 
 Exit codes: 0 success / witness found; 1 absent or verification failed;
-2 usage or I/O error.  Results go to stdout in a stable line-oriented
-form, diagnostics to stderr; identical invocations on identical inputs
-produce byte-identical stdout.
+2 usage or I/O error; 3 unknown, when an oracle search runs out of its
+--budget before it can answer ("unknown: <reason>" on stdout).  Results
+go to stdout in a stable line-oriented form, diagnostics to stderr;
+identical invocations on identical inputs produce byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import constructions, harness, oracle
-from .errors import LinpathError
+from .errors import LinpathError, SearchExhaustedError
 from .finder import find_guaranteed
 from .hypergraph import Hypergraph, parse, serialize
 from .paths import LinearPath
@@ -195,6 +196,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except SearchExhaustedError as exc:
+        print(f"unknown: {exc}")
+        return 3
     except LinpathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,17 +19,17 @@ met and no move applies, the run reports LemmaStepFailed rather than
 guessing, because that outcome would witness a bug.
 
 Every move reads a PathContext and returns the new path's context (or
-None).  make_context is the one place a path is validated; it builds a
-context from scratch rather than patching one, because the index
-bookkeeping after a prefix reversal is error-prone and a context is O(s)
-int operations on the host's pair-link masks.  Each accepted path thus
-gets one context; the only other one is built by rotate for the reversed
-path when it works at the right end.
+None).  make_context is the one place a path is validated, so each
+accepted path gets one context; a new path gets a new context rather than
+a patched one, because the index bookkeeping after a prefix reversal is
+error-prone.  Moves work at the left end; the right end is the same code
+run on ctx.reversed(), which needs no validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 from . import oracle
@@ -49,23 +49,24 @@ from .report import VerificationReport, ViolationReport
 
 @dataclass(frozen=True)
 class PathContext:
-    """A validated path on its host, with its rotation state (make_context).
+    """A validated path on its host (make_context builds it).
 
     free masks the vertices off the path; outside_mask(a, b) reads the
     common neighbors of x_a, x_b outside the path from the host's pair
     links, d counts them and outside_set decodes them.  M and T partition
-    [0, s-1]; N_left / N_right are the endpoint refinement sets.  Their
-    disjointness is a consequence derived under the theorem's hypotheses,
-    so it is reported by callers, never asserted here.
+    [0, s-1]; N_left / N_right are the endpoint refinement sets; all four
+    are derived from d when first read.  Their disjointness follows from
+    the theorem's hypotheses, so callers report it; it is never asserted.
     """
 
     path: LinearPath
     host: Hypergraph
     free: int
-    M: frozenset
-    T: frozenset
-    N_left: frozenset
-    N_right: frozenset
+
+    def reversed(self) -> "PathContext":
+        """The context of the reversed path.  A linear path read backwards
+        is a linear path on the same vertices, so nothing is validated."""
+        return PathContext(self.path.reversed(), self.host, self.free)
 
     def outside_mask(self, a: int, b: int) -> int:
         x = self.path.vertices
@@ -79,26 +80,33 @@ class PathContext:
         """d_P(a,b): outside codegree of path positions a and b."""
         return self.outside_mask(a, b).bit_count()
 
+    @cached_property
+    def M(self) -> frozenset:
+        d = self.d
+        return frozenset(i for i in range(self.path.length) if d(2 * i, 2 * i + 2) >= 2)
+
+    @cached_property
+    def T(self) -> frozenset:
+        return frozenset(range(self.path.length)) - self.M
+
+    @cached_property
+    def N_left(self) -> frozenset:
+        d = self.d
+        return frozenset({i for i in self.M if d(0, 2 * i + 2) >= 3}
+                         | {i for i in self.T if d(0, 2 * i + 1) >= 2})
+
+    @cached_property
+    def N_right(self) -> frozenset:
+        """N_left of the reversed path, its indices mirrored."""
+        s = self.path.length
+        return frozenset(s - 1 - i for i in self.reversed().N_left)
+
 
 def make_context(H: Hypergraph, P: LinearPath) -> PathContext:
     """P's context on H; raises InvalidPathError unless P is a linear path
     of H."""
     P.validate(H)
-    x = P.vertices
-    s = P.length
-    free = ((1 << H.n) - 1) & ~P.vertex_mask()
-    d = lambda a, b: (H.link(x[a], x[b]) & free).bit_count()
-    M = frozenset(i for i in range(s) if d(2 * i, 2 * i + 2) >= 2)
-    T = frozenset(range(s)) - M
-    N_left = frozenset(
-        {i for i in M if d(0, 2 * i + 2) >= 3}
-        | {i for i in T if d(0, 2 * i + 1) >= 2}
-    )
-    N_right = frozenset(
-        {i for i in M if d(2 * i, 2 * s) >= 3}
-        | {i for i in T if d(2 * i + 1, 2 * s) >= 2}
-    )
-    return PathContext(P, H, free, M, T, N_left, N_right)
+    return PathContext(P, H, ((1 << H.n) - 1) & ~P.vertex_mask())
 
 
 def extend(H: Hypergraph, ctx: PathContext) -> Optional[PathContext]:
@@ -106,9 +114,8 @@ def extend(H: Hypergraph, ctx: PathContext) -> Optional[PathContext]:
     the left one (via reversal); the lexicographically least fresh pair
     wins.  Returns the longer path's context, or None when every edge at
     both endpoints re-enters the path."""
-    x = ctx.path.vertices
     free = ctx.free
-    for seq in (x, tuple(reversed(x))):
+    for seq in (ctx.path.vertices, ctx.path.reversed().vertices):
         last = seq[-1]
         for w1 in mask_vertices(free):
             fresh = H.link(last, w1) & free  # never holds w1 itself
@@ -117,20 +124,17 @@ def extend(H: Hypergraph, ctx: PathContext) -> Optional[PathContext]:
     return None
 
 
-def rotate(H: Hypergraph, ctx: PathContext, end: str = "left") -> Optional[PathContext]:
+def rotate(H: Hypergraph, ctx: PathContext) -> Optional[PathContext]:
     """Reverse a prefix through an outside vertex, growing the M-set.
 
-    Fires on the first k' in T (increasing) whose outside codegree with the
-    chosen endpoint reaches max(2|M|+1, 3).  The bridging vertex v is the
-    smallest one avoiding, for every k in M with exactly two outside
-    witnesses, that pair's outside set; pigeonhole guarantees one exists.
+    Works at x_0; rotate ctx.reversed() for the right end.  Fires on the
+    first k' in T (increasing) with d(0, 2k'+2) >= max(2|M|+1, 3).  The
+    bridging vertex v is the smallest one avoiding, for every k in M with
+    exactly two outside witnesses, that pair's outside set; pigeonhole
+    guarantees one exists.
     The rotated path keeps the length, replaces x_{2k'+1} by v in the vertex
     set, and has strictly more M-members (asserted on the context returned).
     """
-    if end == "right":
-        ctx = make_context(H, ctx.path.reversed())
-    elif end != "left":
-        raise ValueError(f"end must be 'left' or 'right', got {end!r}")
     x = ctx.path.vertices
     gate = max(2 * len(ctx.M) + 1, 3)
     for kp in sorted(ctx.T):
@@ -178,8 +182,13 @@ def _splice_odd(x: tuple, k: int, y: int, z: int) -> tuple:
     return x[2 * k + 2 :] + (z, x[2 * k + 1], y) + x[: 2 * k + 1]
 
 
-def _splice_connector(x: tuple, k: int, y: int, z: int) -> tuple:
-    # (x_{2k+1}, z, x_0, ..., x_{2k}, y, x_{2k+2}, ..., x_{2t})
+def _splice_connector(ctx: PathContext, k: int) -> Optional[tuple]:
+    # (x_{2k+1}, z, x_0, ..., x_{2k}, y, x_{2k+2}, ..., x_{2t}), where y
+    # sees (x_{2k}, x_{2k+2}) and z sees (x_0, x_{2k+1}) from outside
+    pick = _distinct_pair(ctx.outside_mask(2 * k, 2 * k + 2), ctx.outside_mask(0, 2 * k + 1))
+    if pick is None:
+        return None
+    (y, z), x = pick, ctx.path.vertices
     return (x[2 * k + 1], z) + x[: 2 * k + 1] + (y,) + x[2 * k + 2 :]
 
 
@@ -208,7 +217,6 @@ def improve_via_codegree(H: Hypergraph, ctx: PathContext) -> Optional[PathContex
     """
     x = ctx.path.vertices
     t = ctx.path.length
-    rx = tuple(reversed(x))
 
     def finish(seq: tuple) -> PathContext:
         return _checked(H, seq, t + 1, SplicePostconditionError, "spliced")
@@ -221,18 +229,11 @@ def improve_via_codegree(H: Hypergraph, ctx: PathContext) -> Optional[PathContex
             y, z = pick
             return finish(_splice_odd(x, k, y, z))
     for k in range(t):
-        for endpoint in (0, 2 * t):
-            pick = _distinct_pair(
-                ctx.outside_mask(2 * k, 2 * k + 2),
-                ctx.outside_mask(endpoint, 2 * k + 1),
-            )
-            if pick is None:
-                continue
-            y, z = pick
-            if endpoint == 0:
-                return finish(_splice_connector(x, k, y, z))
-            # mirrored configuration: same move on the reversed path
-            return finish(_splice_connector(rx, t - 1 - k, y, z))
+        # the right end's configuration at k is the left one's at t-1-k
+        for end, kk in ((ctx, k), (ctx.reversed(), t - 1 - k)):
+            seq = _splice_connector(end, kk)
+            if seq is not None:
+                return finish(seq)
     return None
 
 
@@ -350,12 +351,12 @@ def find_guaranteed(
             if longer is not None:
                 ctx = accept("splice", longer)
                 continue
-            ends = ("left", "right")
+            ends = (ctx, ctx.reversed())
             if len(ctx.N_right) < len(ctx.N_left):
-                ends = ("right", "left")
+                ends = ends[::-1]
             rotated = None
             for end in ends:
-                rotated = rotate(H, ctx, end)
+                rotated = rotate(H, end)
                 if rotated is not None:
                     break
             if rotated is not None:
@@ -428,20 +429,12 @@ def crossing_cycle_plus(
     path through the endpoint-crossing witness z; the two remaining
     witnesses y1, y2 close it into a (t+1)-cycle with a parallel edge.
     """
-    x = ctx.path.vertices
     t = ctx.path.length
-    # second variant is the mirror image: same move on the reversed path,
-    # whose outside sets map back to positions (2k, 2t) and (0, 2k+2)
-    variants = (
-        (x, k, ctx.outside_set(0, 2 * k + 2), ctx.outside_set(2 * k, 2 * t)),
-        (
-            tuple(reversed(x)),
-            t - 1 - k,
-            ctx.outside_set(2 * k, 2 * t),
-            ctx.outside_set(0, 2 * k + 2),
-        ),
-    )
-    for seq, kk, ys, zs in variants:
+    # the mirror is the same move on the reversed path at t-1-k
+    for end, kk in ((ctx, k), (ctx.reversed(), t - 1 - k)):
+        seq = end.path.vertices
+        ys = end.outside_set(0, 2 * kk + 2)
+        zs = end.outside_set(2 * kk, 2 * t)
         if len(ys) < 3 or not zs:
             continue
         z = zs[0]

@@ -43,23 +43,22 @@ class Hypergraph:
     """
 
     r = 3
-    __slots__ = ("n", "edges", "_incident", "_link")
+    __slots__ = ("n", "edges", "_degree", "_link")
 
     def __init__(self, n: int, edges: tuple):
         self.n = n
         self.edges = edges
-        incident = [[] for _ in range(n)]
+        degree = [0] * n
         link = [[0] * n for _ in range(n)]
-        for e in edges:
-            a, b, c = e
-            incident[a].append(e)
-            incident[b].append(e)
-            incident[c].append(e)
+        for a, b, c in edges:
+            degree[a] += 1
+            degree[b] += 1
+            degree[c] += 1
             la, lb, lc = link[a], link[b], link[c]
             la[b] = lb[a] = la[b] | (1 << c)
             la[c] = lc[a] = la[c] | (1 << b)
             lb[c] = lc[b] = lb[c] | (1 << a)
-        self._incident = [tuple(es) for es in incident]
+        self._degree = degree
         self._link = link
 
     # -- basic queries ----------------------------------------------------
@@ -69,13 +68,13 @@ class Hypergraph:
         return len(self.edges)
 
     def incident_edges(self, v: int) -> tuple:
-        """All edges containing vertex v."""
+        """All edges containing vertex v, in edge-list order."""
         self._check_vertex(v)
-        return self._incident[v]
+        return tuple(e for e in self.edges if v in e)
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._incident[v])
+        return self._degree[v]
 
     def link(self, u: int, v: int) -> int:
         """Bitmask of all w with {u,v,w} an edge.
@@ -94,7 +93,7 @@ class Hypergraph:
 
     def min_degree(self) -> int:
         """delta_1(H); 0 when some vertex is isolated."""
-        return min(len(self._incident[v]) for v in range(self.n))
+        return min(self._degree)
 
     def has_edge(self, e: Iterable[int]) -> bool:
         """Whether e is an edge; False for anything not a triple of vertices."""

@@ -117,7 +117,7 @@ def test_06_rotation_invariants():
     ok = True
     for H, P in _planted_rotation_instances():
         ctx = make_context(H, P)
-        new_ctx = rotate(H, ctx, "left")
+        new_ctx = rotate(H, ctx)
         if new_ctx is None:
             continue
         new = new_ctx.path

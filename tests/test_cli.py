@@ -100,6 +100,24 @@ class TestOracle:
         assert "io error:" in err
 
 
+class TestBudgetExhausted:
+    """A search that runs out of its budget has no answer: it reads
+    "unknown" on stdout and exits 3, apart from absence (1) and usage (2)."""
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["oracle", "--path", "3"], "path search exceeded 2 nodes"),
+        (["oracle", "--cycle", "3"], "cycle search exceeded 2 nodes"),
+        (["oracle", "--cycleplus", "5"], "cycle-plus scan exceeded 2 paths"),
+        (["oracle", "--longest", "5"], "path search exceeded 2 nodes"),
+        (["find", "--length", "3", "--mode", "oracle"], "path search exceeded 2 nodes"),
+    ], ids=["path", "cycle", "cycleplus", "longest", "find-oracle"])
+    def test_unknown_exit_3(self, capsys, tmp_path, argv, reason):
+        f = tmp_path / "star11.h3"
+        f.write_text(serialize(gen_star(3, 11, 2)))
+        code, out, err = run_cli(capsys, *argv, "-i", str(f), "--budget", "2")
+        assert (code, out, err) == (3, f"unknown: {reason}\n", "")
+
+
 class TestFind:
     def test_finder_mode_success(self, capsys, tmp_path):
         from linpath.harness import random_min_degree_graph

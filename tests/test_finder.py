@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import islice
 from math import comb
@@ -6,7 +7,7 @@ import pytest
 
 from linpath import finder
 from linpath.constructions import gen_complete, gen_star, gen_star_plus, theorem_threshold
-from linpath.errors import InvalidPathError
+from linpath.errors import InvalidPathError, LinpathError
 from linpath.finder import (
     check_lemma_bounds,
     closure_witness,
@@ -85,31 +86,41 @@ class TestRotate:
         H = build(3, 9, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (0, 4, 6)])
         ctx = make_context(H, LinearPath((0, 1, 2, 3, 4)))
         assert ctx.M == frozenset()
-        assert rotate(H, ctx, "left") is None
+        assert rotate(H, ctx) is None
 
     def test_no_candidate_index_absent(self):
         H = gen_star(3, 20, 1)
         ctx = make_context(H, LinearPath((1, 2, 0, 3, 4)))
         assert ctx.T == frozenset()
-        assert rotate(H, ctx, "left") is None
-        assert rotate(H, ctx, "right") is None
+        assert rotate(H, ctx) is None
+        assert rotate(H, ctx.reversed()) is None
 
     def test_planted_rotation_fires(self):
         H = build(3, 9, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (0, 4, 6), (0, 4, 7)])
         P = LinearPath((0, 1, 2, 3, 4))
         ctx = make_context(H, P)
         assert ctx.T == frozenset({0, 1})
-        new = rotate(H, ctx, "left")
+        new = rotate(H, ctx)
         assert new is not None
         assert new.path.vertices == (2, 1, 0, 5, 4)
         assert new.path.length == P.length
         assert new.M == make_context(H, new.path).M
         assert len(new.M) >= len(ctx.M) + 1
 
+    def test_planted_rotation_right_end(self):
+        # the same host with the path read backwards: the rotation at its
+        # right end is the left-end rotation of the reversed context
+        H = build(3, 9, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (0, 4, 6), (0, 4, 7)])
+        P = LinearPath((4, 3, 2, 1, 0))
+        new = rotate(H, make_context(H, P).reversed())
+        assert new is not None
+        assert new.path.vertices == (2, 1, 0, 5, 4)
+        assert new.path == rotate(H, make_context(H, P.reversed())).path
+
     def test_vertex_set_relation(self):
         H = build(3, 9, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (0, 4, 6), (0, 4, 7)])
         P = LinearPath((0, 1, 2, 3, 4))
-        new = rotate(H, make_context(H, P), "left").path
+        new = rotate(H, make_context(H, P)).path
         dropped = set(P.vertices) - set(new.vertices)
         gained = set(new.vertices) - set(P.vertices)
         assert dropped == {3} and gained == {5}
@@ -285,10 +296,10 @@ class TestValidateOnce:
     @pytest.mark.parametrize("make_host, t, kinds, validates, contexts", [
         # the final prefix is validated once more; no context for it
         (lambda: random_min_degree_graph(27, 75, 0), 5, ["extend"] * 4, 6, 5),
-        # a starting context, five accepted paths and the reversed path
-        # that rotate builds to try the right end
+        # a starting context and five accepted paths; the rotate attempts
+        # at both ends read ctx and ctx.reversed(), neither validated
         (lambda: gen_star_plus(3, 15, 3), 7,
-         ["extend", "extend", "splice", "extend", "extend"], 7, 7),
+         ["extend", "extend", "splice", "extend", "extend"], 6, 6),
     ], ids=["random-n27-t5", "star_plus-n15-t7"])
     def test_counts(self, monkeypatch, make_host, t, kinds, validates, contexts):
         H = make_host()
@@ -308,6 +319,41 @@ class TestValidateOnce:
         find_guaranteed(H, t, on_move=lambda kind, length, m: moves.append(kind))
         assert moves == kinds
         assert counts == {"validate": validates, "make_context": contexts}
+
+
+def move_outcome(fn):
+    try:
+        return repr(fn())
+    except LinpathError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_frozen_move_outputs():
+    # sha256 of rotate at both ends, the splice and crossing_cycle_plus at
+    # every k, over the first 2- and 3-paths of seeded random hosts; the
+    # value was computed before the right end became ctx.reversed()
+    rng = random.Random(73)
+    digest = hashlib.sha256()
+    fired = 0
+    for _ in range(40):
+        n = rng.randint(7, 11)
+        p = rng.uniform(0.2, 0.7)
+        H = Hypergraph(n, tuple(tr for tr in all_triples(n) if rng.random() < p))
+        for t in (2, 3):
+            for P in islice(iter_paths(H, t), 12):
+                ctx = make_context(H, P)
+                outs = [move_outcome(lambda c=c: (r := rotate(H, c)) and r.path.vertices)
+                        for c in (ctx, ctx.reversed())]
+                outs.append(move_outcome(
+                    lambda: (r := improve_via_codegree(H, ctx)) and r.path.vertices))
+                outs += [move_outcome(lambda k=k: crossing_cycle_plus(H, ctx, k))
+                         for k in range(t)]
+                fired += sum(out != "None" for out in outs)
+                digest.update("\n".join(outs).encode())
+    assert fired == 70 + 742 + 521
+    assert digest.hexdigest() == (
+        "90b1ae25b22ab4a94ec1641ebf421811edbec988ddb1f2178fc494934197eb36"
+    )
 
 
 class TestPathReversal:

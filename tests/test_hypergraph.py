@@ -80,6 +80,18 @@ class TestDegrees:
 
         assert gen_star(3, 8, 1).min_degree() == 6
 
+    def test_incident_edges_all_hosts_on_five_vertices(self):
+        from linpath.oracle import enumerate_hypergraphs
+
+        hosts = 0
+        for H in enumerate_hypergraphs(5):
+            hosts += 1
+            for v in range(5):
+                want = tuple(e for e in H.edges if v in e)
+                assert H.incident_edges(v) == want
+                assert H.degree(v) == len(want)
+        assert hosts == 1024
+
 
 class TestPairNeighborhood:
     def test_k4(self):

@@ -75,6 +75,11 @@ def check_paths(H, paths):
         assert (hit.path.vertices if hit else None) == reference_extend(H, P.vertices)
         outside, M, T, N_left, N_right = reference_context(H, P.vertices)
         assert (ctx.M, ctx.T, ctx.N_left, ctx.N_right) == (M, T, N_left, N_right)
+        # the reversed context, built without validation, is the context
+        # of the reversed path in every field
+        rev, want = ctx.reversed(), make_context(H, P.reversed())
+        for field in ("path", "free", "M", "T", "N_left", "N_right"):
+            assert getattr(rev, field) == getattr(want, field)
         for (a, b), witnesses in outside.items():
             assert ctx.outside_set(a, b) == ctx.outside_set(b, a) == witnesses
             assert ctx.d(a, b) == len(witnesses)
