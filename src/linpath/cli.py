@@ -1,8 +1,8 @@
 """Command-line surface: gen, oracle, find, verify, experiment.
 
 Exit codes: 0 success / witness found; 1 absent or verification failed;
-2 usage or I/O error; 3 unknown, when an oracle search runs out of its
---budget before it can answer ("unknown: <reason>" on stdout).  Results
+2 usage or I/O error; 3 unknown, when a search runs out of its --budget
+before it can answer ("unknown: <reason>" on stdout).  Results
 go to stdout in a stable line-oriented form, diagnostics to stderr;
 identical invocations on identical inputs produce byte-identical stdout.
 """
@@ -140,6 +140,9 @@ def _cmd_find(args) -> int:
     if isinstance(result, LinearPath):
         print(f"path: {_one_based(result.vertices)}")
         return 0
+    if result.reason == "BudgetExhausted":
+        print(f"unknown: {result.reason} {result.detail}")
+        return 3
     print(f"absent: {result.reason} {result.detail}")
     if H.n <= 12:
         cross = oracle.find_path(H, args.length)

@@ -96,25 +96,31 @@ class TrialsResult:
 def random_min_degree_graph(n: int, delta: int, seed: int) -> Hypergraph:
     """A seeded random simple 3-graph with min degree >= delta.
 
-    Each triple is drawn independently with probability calibrated so the
-    expected degree is about delta + 3*sqrt(delta); vertices still short of
-    delta are then repaired with uniformly random missing triples.  The
-    repair bias is acceptable: downstream claims quantify over all graphs
-    meeting the degree bound.
+    One ``random()`` draw per triple, in lexicographic order, keeps each
+    triple with probability calibrated so the expected degree is about
+    delta + 3*sqrt(delta).  That draw is the host unless some vertex falls
+    short of delta; vertices still short are then repaired with uniformly
+    random missing triples.  The random numbers, and so the host, depend
+    only on (n, delta, seed): replays are byte-identical.  The repair bias
+    is acceptable: downstream claims quantify over all graphs meeting the
+    degree bound.
     """
+    if n < 3:
+        raise InvalidParameterError(f"need n >= 3 for 3-graphs, got {n}")
+    if delta < 0:
+        raise InvalidParameterError(f"need min degree >= 0, got {delta}")
     ceiling = comb(n - 1, 2)
     if delta > ceiling:
         raise InfeasibleDegreeError(f"delta={delta} exceeds C({n - 1},2)={ceiling}")
     rng = random.Random(seed)
+    draw = rng.random
     triples = all_triples(n)
-    p = min(1.0, (delta + 3 * math.sqrt(delta)) / ceiling) if ceiling else 0.0
-    chosen = set()
-    deg = [0] * n
-    for tr in triples:
-        if rng.random() < p:
-            chosen.add(tr)
-            for v in tr:
-                deg[v] += 1
+    p = min(1.0, (delta + 3 * math.sqrt(delta)) / ceiling)
+    H = Hypergraph(n, tuple([tr for tr in triples if draw() < p]))
+    if H.min_degree() >= delta:
+        return H
+    chosen = set(H.edges)
+    deg = [H.degree(v) for v in range(n)]
     while True:
         low = next((v for v in range(n) if deg[v] < delta), None)
         if low is None:

@@ -22,6 +22,7 @@ Only the header ``p h3`` is accepted; any other uniformity is refused.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -218,6 +219,14 @@ def parse(text: str) -> Hypergraph:
     return build(r, n, edges)
 
 
-def all_triples(n: int):
-    """All C(n,3) sorted triples on {0,...,n-1}, lexicographically."""
-    return list(combinations(range(n), 3))
+@lru_cache(maxsize=1)
+def all_triples(n: int) -> tuple:
+    """All C(n,3) sorted triples on {0,...,n-1}, lexicographically.
+
+    The table is cached for the last order asked for only.  Hosts are
+    drawn many at a time at one order, so one entry saves the rebuild; an
+    unbounded cache would keep the table of every order a process ever
+    walked alive (the ``find`` benchmark draws hosts at 18 orders,
+    n = 23..42, about 100k triples in all).
+    """
+    return tuple(combinations(range(n), 3))

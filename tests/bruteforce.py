@@ -5,7 +5,10 @@ trying every injective vertex sequence, degrees by scanning the raw edge
 list.  Only usable at tiny scale.
 """
 
-from itertools import permutations
+import math
+import random
+from itertools import combinations, permutations
+from math import comb
 
 
 def brute_force_paths(H, t):
@@ -155,3 +158,32 @@ def reference_twins_below(H):
         sum(1 << u for u in range(v) if reference_are_twins(H, u, v))
         for v in range(H.n)
     ]
+
+
+def reference_random_min_degree_graph(n, delta, seed):
+    """Edge tuple of ``harness.random_min_degree_graph(n, delta, seed)``, by
+    the per-triple loop it replaced: a set of kept triples and a degree
+    count updated per triple, then the same repair, then a sort."""
+    ceiling = comb(n - 1, 2)
+    if delta > ceiling:
+        raise ValueError(f"delta={delta} exceeds C({n - 1},2)={ceiling}")
+    rng = random.Random(seed)
+    triples = list(combinations(range(n), 3))
+    p = min(1.0, (delta + 3 * math.sqrt(delta)) / ceiling) if ceiling else 0.0
+    chosen = set()
+    deg = [0] * n
+    for tr in triples:
+        if rng.random() < p:
+            chosen.add(tr)
+            for v in tr:
+                deg[v] += 1
+    while True:
+        low = next((v for v in range(n) if deg[v] < delta), None)
+        if low is None:
+            break
+        candidates = [tr for tr in triples if low in tr and tr not in chosen]
+        tr = rng.choice(candidates)
+        chosen.add(tr)
+        for v in tr:
+            deg[v] += 1
+    return tuple(sorted(chosen))

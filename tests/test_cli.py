@@ -117,6 +117,17 @@ class TestBudgetExhausted:
         code, out, err = run_cli(capsys, *argv, "-i", str(f), "--budget", "2")
         assert (code, out, err) == (3, f"unknown: {reason}\n", "")
 
+    def test_finder_unknown_exit_3(self, capsys, tmp_path):
+        # the finder's budget counts accepted moves; no oracle cross-check
+        f = tmp_path / "k9.h3"
+        f.write_text(serialize(gen_complete(3, 9)))
+        code, out, err = run_cli(
+            capsys, "find", "-i", str(f), "--length", "4", "--budget", "1"
+        )
+        assert (code, out, err) == (
+            3, "unknown: BudgetExhausted 1 accepted moves at length 2\n", ""
+        )
+
 
 class TestFind:
     def test_finder_mode_success(self, capsys, tmp_path):
@@ -278,6 +289,17 @@ class TestExperiment:
         _, first, _ = run_cli(capsys, *self.ARGS)
         _, second, _ = run_cli(capsys, *self.ARGS)
         assert first == second
+
+    @pytest.mark.parametrize("n, delta", [
+        ("0", "0"), ("1", "0"), ("2", "0"), ("8", "-1"),
+    ])
+    def test_bad_order_or_degree_exit_2(self, capsys, n, delta):
+        code, out, err = run_cli(
+            capsys, "experiment", "--n", n, "--length", "3", "--min-degree", delta,
+            "--trials", "2", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: need ")
 
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "trials.csv"

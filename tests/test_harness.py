@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import islice
 
@@ -15,7 +16,9 @@ from linpath.harness import (
     run_trials,
     verify_construction,
 )
-from linpath.hypergraph import build, parse
+from linpath.hypergraph import Hypergraph, build, parse, serialize
+
+from bruteforce import reference_random_min_degree_graph
 
 
 class TestRandomMinDegreeGraph:
@@ -41,6 +44,63 @@ class TestRandomMinDegreeGraph:
     def test_degree_ceiling_reachable(self):
         H = random_min_degree_graph(5, 6, seed=0)
         assert H.min_degree() >= 6
+
+    @pytest.mark.parametrize("n, delta", [(0, 0), (2, 0), (8, -1)])
+    def test_bad_order_or_degree(self, n, delta):
+        with pytest.raises(InvalidParameterError, match=r"need "):
+            random_min_degree_graph(n, delta, seed=0)
+
+
+# (n, delta) grid for the differential test: the campaign shapes, the
+# find workload's floor shapes for t = 3..5, sparse shapes where most
+# draws leave a vertex short and repair fires, delta = 0, and
+# delta = C(n-1, 2), where every triple is kept
+CAMPAIGN_SHAPES = [(23, 29), (25, 44)]
+FLOOR_SHAPES = [(26, 32), (28, 47), (27, 75), (30, 81)]
+REPAIR_SHAPES = [(28, 1), (32, 2)]
+EDGE_SHAPES = [(7, 0), (12, 0), (3, 1), (6, 10), (9, 28)]
+
+
+class TestAgainstReferenceGenerator:
+    """The one-pass generator against the per-triple loop it replaced."""
+
+    SEEDS = range(60)
+
+    @pytest.mark.parametrize(
+        "n, delta", CAMPAIGN_SHAPES + FLOOR_SHAPES + REPAIR_SHAPES + EDGE_SHAPES
+    )
+    def test_same_hosts(self, n, delta):
+        for seed in self.SEEDS:
+            H = random_min_degree_graph(n, delta, seed)
+            assert H.edges == reference_random_min_degree_graph(n, delta, seed)
+            assert H.min_degree() >= delta
+
+    @pytest.mark.parametrize("n, delta", REPAIR_SHAPES)
+    def test_repair_branch_covered(self, monkeypatch, n, delta):
+        # a repaired host is built twice: the draw, then the repaired one
+        builds = []
+
+        def counting(*args):
+            builds.append(args)
+            return Hypergraph(*args)
+
+        monkeypatch.setattr(harness, "Hypergraph", counting)
+        for seed in self.SEEDS:
+            random_min_degree_graph(n, delta, seed)
+        repaired = len(builds) - len(self.SEEDS)
+        assert repaired >= len(self.SEEDS) / 3
+
+    # (n, delta, seed): plain draws and repaired ones (seed 40 at (23, 29),
+    # seed 1 at (25, 44), seed 2 at (28, 1)), p = 1 and delta = 0
+    FROZEN = ((23, 29, 0), (23, 29, 40), (25, 44, 1), (28, 1, 0), (28, 1, 2),
+              (9, 28, 0), (7, 0, 0))
+    # sha256 of the serialized hosts above, concatenated, from the
+    # per-triple loop
+    FROZEN_SHA256 = "851154d8f338c2f63cbf1c7104718fcf58ee3d566b8e3d0cdb0370d3e74b9d92"
+
+    def test_frozen_hosts(self):
+        text = "".join(serialize(random_min_degree_graph(*a)) for a in self.FROZEN)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.FROZEN_SHA256
 
 
 class TestVerifyConstruction:

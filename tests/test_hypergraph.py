@@ -11,7 +11,7 @@ from linpath.errors import (
     RepeatedVertexError,
     VertexOutOfRangeError,
 )
-from linpath.hypergraph import build, parse, serialize
+from linpath.hypergraph import all_triples, build, parse, serialize
 
 from bruteforce import naive_degree, naive_set_degree
 
@@ -22,6 +22,12 @@ def small_3graphs(draw, max_n=8):
     triples = list(combinations(range(n), 3))
     edges = draw(st.lists(st.sampled_from(triples), unique=True, max_size=25))
     return build(3, n, edges)
+
+
+def test_all_triples_is_the_lexicographic_table():
+    for n in (0, 3, 5, 9, 5):
+        assert all_triples(n) == tuple(combinations(range(n), 3))
+        assert all_triples.cache_info().currsize <= 1
 
 
 def k4():
