@@ -8,54 +8,56 @@ reproducible byte-for-byte:
 * star_plus(r, n, k): the star plus a 2-core embedded on the first two
   B-vertices {k, k+1}.
 
-The generators keep the uniformity r as their first argument and hand it
-to ``hypergraph.build``, which accepts only r = 3.
+Each family, like the complete 3-graph, is a prefix of the lexicographic
+triple table on {0..n-1}, so each generator builds its host once from the
+first m triples, with no validation pass.  They are drawn lazily:
+``gen_core(3, n, 2)`` needs n-2 of them, and slicing ``all_triples(n)``
+would build all C(n,3) and evict the table the campaign caches.  The
+uniformity r stays the first argument; any r other than 3 is refused.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 
-from .errors import InvalidParameterError, NonIntegralError
-from .hypergraph import Hypergraph, build
+from .errors import InvalidParameterError, NonIntegralError, NotPairUniformError
+from .hypergraph import Hypergraph
+
+
+def _prefix(r: int, n: int, m: int) -> Hypergraph:
+    if r != 3:
+        raise NotPairUniformError(f"uniformity r={r}: only 3-graphs are supported")
+    return Hypergraph(n, tuple(islice(combinations(range(n), 3), m)))
 
 
 def gen_star(r: int, n: int, k: int) -> Hypergraph:
-    """All r-subsets of {0..n-1} meeting A = {0..k-1}."""
+    """All triples meeting A = {0..k-1}: the first C(n,3) - C(n-k,3)."""
     if not (n >= r >= 2 and 1 <= k < n):
         raise InvalidParameterError(f"gen_star needs n >= r >= 2, 1 <= k < n; got r={r} n={n} k={k}")
-    return build(r, n, (e for e in combinations(range(n), r) if e[0] < k))
+    return _prefix(r, n, comb(n, 3) - comb(n - k, 3))
 
 
 def gen_core(r: int, n: int, s: int) -> Hypergraph:
-    """All r-subsets containing S = {0..s-1}."""
+    """All triples containing S = {0..s-1}: the first C(n-s, 3-s)."""
     if not (1 <= s <= r <= n):
         raise InvalidParameterError(f"gen_core needs 1 <= s <= r <= n; got r={r} n={n} s={s}")
-    head = tuple(range(s))
-    return build(r, n, (head + tail for tail in combinations(range(s, n), r - s)))
+    return _prefix(r, n, comb(n - s, 3 - s))
 
 
 def gen_star_plus(r: int, n: int, k: int) -> Hypergraph:
-    """The star plus a 2-core on B-vertices {k, k+1}.
-
-    The added edges {k, k+1} u T with T an (r-2)-subset of B \\ {k, k+1}
-    avoid A, so the union is duplicate-free.
-    """
+    """The star plus a 2-core on B-vertices {k, k+1}: the star's triples
+    and the n-k-2 triples {k, k+1, c} that follow them, which avoid A."""
     if not (k >= 1 and n - k >= r):
         raise InvalidParameterError(f"gen_star_plus needs k >= 1 and n-k >= r; got r={r} n={n} k={k}")
-    star = gen_star(r, n, k)
-    extra = [
-        (k, k + 1) + tail
-        for tail in combinations(range(k + 2, n), r - 2)
-    ]
-    return build(r, n, list(star.edges) + extra)
+    return _prefix(r, n, comb(n, 3) - comb(n - k, 3) + n - k - 2)
 
 
 def gen_complete(r: int, n: int) -> Hypergraph:
-    """All C(n,r) edges."""
+    """All C(n,3) triples: the whole table."""
     if n < r or r < 2:
         raise InvalidParameterError(f"gen_complete needs n >= r >= 2; got r={r} n={n}")
-    return build(r, n, combinations(range(n), r))
+    return _prefix(r, n, comb(n, 3))
 
 
 def _half(numerator: int, what: str) -> int:

@@ -3,7 +3,7 @@
 Vertices are the integers 0..n-1.  Edges are stored as sorted triples, the
 edge set itself sorted lexicographically, and the structure never mutates
 after construction, so values are safe to share across threads.  Only
-3-graphs exist: :func:`build` is the one place that checks uniformity.
+3-graphs exist: :func:`build` and the ``gen_*`` generators refuse r != 3.
 
 The host also keeps the link of every vertex pair as an int bitmask:
 bit w of ``link(u, v)`` is set exactly when {u, v, w} is an edge.  Pair
@@ -63,10 +63,6 @@ class Hypergraph:
         self._link = link
 
     # -- basic queries ----------------------------------------------------
-
-    def size(self) -> int:
-        """Number of edges e(H)."""
-        return len(self.edges)
 
     def incident_edges(self, v: int) -> tuple:
         """All edges containing vertex v, in edge-list order."""

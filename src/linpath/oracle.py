@@ -21,7 +21,8 @@ one with the same prefix that is lexicographically smaller, so the least
 witness survives and the dead-state memo stays exact.  Twin classes are
 computed lazily, at the first dead state, so searches that never backtrack
 pay nothing for them, and a search budget counts the states of the pruned
-search.  Path enumeration and the cycle searches are not pruned.
+search.  Twins have equal degree, so only such pairs are compared link by
+link.  Path enumeration and the cycle searches are not pruned.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ def _twins_below(H: Hypergraph):
 
 
 def _are_twins(H: Hypergraph, u: int, v: int) -> bool:
+    if H.degree(u) != H.degree(v):  # an automorphism keeps degrees
+        return False
     # {u,a,b} -> {v,a,b} maps edges onto edges iff, for every other vertex
     # a, the links of (u, a) and (v, a) agree away from u and v
     other = ~((1 << u) | (1 << v))

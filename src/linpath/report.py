@@ -34,9 +34,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> List[Check]:
-        return [c for c in self.checks if not c.passed]
-
     def to_text(self) -> str:
         lines = [f"subject: {self.subject}"]
         for c in self.checks:

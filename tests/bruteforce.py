@@ -10,6 +10,8 @@ import random
 from itertools import combinations, permutations
 from math import comb
 
+from linpath.hypergraph import build
+
 
 def brute_force_paths(H, t):
     """Every injective sequence of 2t+1 vertices whose consecutive triples
@@ -187,3 +189,34 @@ def reference_random_min_degree_graph(n, delta, seed):
         for v in tr:
             deg[v] += 1
     return tuple(sorted(chosen))
+
+
+# -- references for the construction generators ----------------------------
+#
+# The generators as they were before each became a prefix of the
+# lexicographic triple table: the edges are listed by their defining
+# property and validated and sorted by ``build``.
+
+
+def reference_gen_star(r, n, k):
+    """All r-subsets of {0..n-1} meeting A = {0..k-1}."""
+    return build(r, n, (e for e in combinations(range(n), r) if e[0] < k))
+
+
+def reference_gen_core(r, n, s):
+    """All r-subsets containing S = {0..s-1}."""
+    head = tuple(range(s))
+    return build(r, n, (head + tail for tail in combinations(range(s, n), r - s)))
+
+
+def reference_gen_star_plus(r, n, k):
+    """The star plus the 2-core {k, k+1} u T, T an (r-2)-subset of
+    B \\ {k, k+1}, built a second time from the star's edges."""
+    star = reference_gen_star(r, n, k)
+    extra = [(k, k + 1) + tail for tail in combinations(range(k + 2, n), r - 2)]
+    return build(r, n, list(star.edges) + extra)
+
+
+def reference_gen_complete(r, n):
+    """All C(n,r) edges."""
+    return build(r, n, combinations(range(n), r))

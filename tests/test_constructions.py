@@ -15,11 +15,20 @@ from linpath.constructions import (
     theorem_threshold,
 )
 from linpath.errors import InvalidParameterError, NotPairUniformError
+from linpath.oracle import _twins_below
+
+from bruteforce import (
+    reference_gen_complete,
+    reference_gen_core,
+    reference_gen_star,
+    reference_gen_star_plus,
+    reference_twins_below,
+)
 
 
 class TestStar:
     def test_edge_count(self):
-        assert gen_star(3, 8, 1).size() == comb(8, 3) - comb(7, 3)
+        assert len(gen_star(3, 8, 1).edges) == comb(8, 3) - comb(7, 3)
 
     def test_degenerate_k(self):
         with pytest.raises(InvalidParameterError):
@@ -36,7 +45,7 @@ class TestStar:
 class TestCore:
     def test_pair_core(self):
         H = gen_core(3, 9, 2)
-        assert H.size() == 7
+        assert len(H.edges) == 7
         assert all(e[:2] == (0, 1) for e in H.edges)
 
     def test_full_core_single_edge(self):
@@ -52,8 +61,8 @@ class TestStarPlus:
         assert gen_star_plus(3, 10, 1).min_degree() == 9
 
     def test_added_edge_count(self):
-        plus = gen_star_plus(3, 10, 1).size()
-        star = gen_star(3, 10, 1).size()
+        plus = len(gen_star_plus(3, 10, 1).edges)
+        star = len(gen_star(3, 10, 1).edges)
         assert plus - star == 7
 
     def test_embedded_core_location(self):
@@ -85,12 +94,65 @@ class TestOtherUniformity:
         assert drawn == []
 
 
+class TestAgainstReferenceGenerators:
+    """Each generator against the build-based one it replaced, on every
+    valid parameter for n = 3..18."""
+
+    @staticmethod
+    def cases(n):
+        for k in range(1, n):
+            yield gen_star(3, n, k), reference_gen_star(3, n, k), k
+        for k in range(1, n - 2):
+            yield gen_star_plus(3, n, k), reference_gen_star_plus(3, n, k), k
+        for s in (1, 2, 3):
+            yield gen_core(3, n, s), reference_gen_core(3, n, s), None
+        yield gen_complete(3, n), reference_gen_complete(3, n), None
+
+    @pytest.mark.parametrize("n", range(3, 19))
+    def test_same_hosts(self, n):
+        for H, ref, k in self.cases(n):
+            assert H.n == ref.n and H.edges == ref.edges
+            assert [H.degree(v) for v in range(n)] == [ref.degree(v) for v in range(n)]
+            assert all(H.link(u, v) == ref.link(u, v)
+                       for u in range(n) for v in range(n))
+            # the certification grid: twin classes on the star hosts
+            if k is not None and k <= 3 and n <= 15:
+                assert _twins_below(H) == reference_twins_below(ref)
+
+
+class TestLazyDraw:
+    """Each generator draws only the prefix it keeps, not the whole table."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        drawn = []
+
+        def counting(items, r):
+            for subset in combinations(items, r):
+                drawn.append(subset)
+                yield subset
+
+        monkeypatch.setattr(constructions, "combinations", counting)
+        return drawn
+
+    @pytest.mark.parametrize("gen, args, count", [
+        (gen_core, (3, 3000, 2), 2998),
+        (gen_core, (3, 3000, 3), 1),
+        (gen_star, (3, 60, 1), comb(59, 2)),
+        (gen_star_plus, (3, 60, 1), comb(59, 2) + 57),
+        (gen_complete, (3, 20), comb(20, 3)),
+    ], ids=["core2", "core3", "star", "star_plus", "complete"])
+    def test_draws_exactly_the_prefix(self, drawn, gen, args, count):
+        H = gen(*args)
+        assert len(drawn) == len(H.edges) == count
+
+
 class TestComplete:
     def test_k4(self):
-        assert gen_complete(3, 4).size() == 4
+        assert len(gen_complete(3, 4).edges) == 4
 
     def test_single_edge(self):
-        assert gen_complete(3, 3).size() == 1
+        assert len(gen_complete(3, 3).edges) == 1
 
     def test_min_degree(self):
         assert gen_complete(3, 6).min_degree() == comb(5, 2)

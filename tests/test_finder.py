@@ -214,7 +214,7 @@ class TestCheckLemmaBounds:
         H = build(3, 7, [(0, 1, 2), (2, 3, 4), (0, 1, 5), (0, 1, 6), (1, 4, 6)])
         ctx = make_context(H, LinearPath((0, 1, 2, 3, 4)))
         report = check_lemma_bounds(H, ctx, False)
-        violated = [c.name for c in report.failures()]
+        violated = [c.name for c in report.checks if not c.passed]
         assert any(name.startswith("odd_crossing") for name in violated)
         assert improve_via_codegree(H, ctx) is not None
 

@@ -125,7 +125,7 @@ class TestVerifyConstruction:
         broken = build(3, 8, H.edges[1:])  # remove one edge
         report = verify_construction("star", 3, 8, 1, hypergraph=broken)
         assert not report.passed
-        bad = report.failures()
+        bad = [c for c in report.checks if not c.passed]
         assert any(c.name == "min_degree" and c.expected == "6" for c in bad)
 
     def test_unknown_kind(self):
@@ -148,10 +148,32 @@ class TestExhaustiveCheck:
         assert counts["graphs_checked"] == "1"
         assert report.witnesses  # the counterexample, serialized
         H = parse(report.witnesses[0])
-        assert H.size() == 4 and H.n == 4
+        assert len(H.edges) == 4 and H.n == 4
 
     def test_trivial_t1(self):
         assert exhaustive_check(3, 1, 1).passed
+
+    # sha256 of to_text() at (5, 0, 2) and (5, 1, 2), which have 76 and 10
+    # counterexamples, from the version that serialized every one of them
+    FROZEN_TEXT_SHA256 = {
+        (5, 0, 2): "fb15459cc3a3fae32a00ed847a11e41e15bc1e877756410b1f58e97632586c6e",
+        (5, 1, 2): "1d4a8987968aea6cbc94aedcbf8d9bc9021018efaa2dac8c7535097eb876ffa1",
+    }
+
+    @pytest.mark.parametrize("args", sorted(FROZEN_TEXT_SHA256),
+                             ids=lambda a: "n{}_delta{}_t{}".format(*a))
+    def test_serializes_only_the_kept_counterexamples(self, monkeypatch, args):
+        calls = []
+
+        def counting(H):
+            calls.append(H)
+            return serialize(H)
+
+        monkeypatch.setattr(harness, "serialize", counting)
+        report = exhaustive_check(*args)
+        text = report.to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.FROZEN_TEXT_SHA256[args]
+        assert len(report.witnesses) == len(calls) == 5
 
 
 class TestRunTrials:

@@ -37,12 +37,12 @@ def k4():
 class TestBuild:
     def test_complete_k4(self):
         H = k4()
-        assert H.size() == 4
+        assert len(H.edges) == 4
         assert H.n == 4 and H.r == 3
 
     def test_single_edge(self):
         H = build(3, 3, [(0, 1, 2)])
-        assert H.size() == 1
+        assert len(H.edges) == 1
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(DuplicateEdgeError):
