@@ -38,7 +38,7 @@ from .finder import (
     improve_via_codegree,
     make_context,
 )
-from .hypergraph import Hypergraph, all_triples, serialize
+from .hypergraph import Hypergraph, all_triples, mask_edges, serialize
 from .paths import LinearPath
 from .report import VerificationReport
 
@@ -171,14 +171,37 @@ def verify_construction(
 def exhaustive_check(n: int, delta: int, t: int) -> VerificationReport:
     """Over every labeled 3-graph on n vertices (n <= 6) with min degree at
     least delta, confirm a linear t-path exists; every counterexample is
-    counted, and the first five are serialized and kept."""
+    counted, and the first five are serialized and kept.
+
+    The walk is over the edge masks of ``oracle.edge_masks``, in increasing
+    order, and reuses the witnesses already found.  The edge mask of every
+    path ``find_path`` returns is recorded.  A host whose mask contains a
+    recorded one is counted as passed without being built or searched: it
+    has every edge of that path, whose vertices are distinct, so the path
+    ``find_path`` validated on its own host is a linear t-path here too.
+    Every other host is built and searched, so ``find_path`` still decides
+    each host, and the counts and counterexamples are those of a search
+    of every host.
+    """
+    if t < 1:
+        raise InvalidParameterError(f"path length t={t} must be >= 1")
+    if delta < 0:
+        raise InvalidParameterError(f"need min degree >= 0, got {delta}")
     total = 0
     passed = 0
     counterexamples: List[str] = []
-    for H in oracle.enumerate_hypergraphs(n, delta):
+    witnesses: List[int] = []  # edge masks of the paths found so far
+    for mask in oracle.edge_masks(n, delta):
         total += 1
-        if oracle.find_path(H, t) is not None:
+        if any(w & mask == w for w in witnesses):
             passed += 1
+            continue
+        H = Hypergraph(n, mask_edges(n, mask))
+        hit = oracle.find_path(H, t)
+        if hit is not None:
+            passed += 1
+            triples = all_triples(n)
+            witnesses.append(sum(1 << triples.index(e) for e in hit.edges()))
         elif len(counterexamples) < 5:
             counterexamples.append(serialize(H))
     report = VerificationReport(

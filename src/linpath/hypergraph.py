@@ -80,14 +80,6 @@ class Hypergraph:
         """
         return self._link[u][v]
 
-    def pair_neighborhood(self, u: int, v: int) -> tuple:
-        """All w with {u,v,w} an edge, sorted ascending."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise RepeatedVertexError("pair requires two distinct vertices")
-        return mask_vertices(self._link[u][v])
-
     def min_degree(self) -> int:
         """delta_1(H); 0 when some vertex is isolated."""
         return min(self._degree)
@@ -134,6 +126,13 @@ def mask_vertices(mask: int) -> tuple:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def mask_edges(n: int, mask: int) -> tuple:
+    """The triples of ``all_triples(n)`` at the set bits of an edge mask,
+    in order: the sorted edge tuple of that 3-graph."""
+    triples = all_triples(n)
+    return tuple(triples[i] for i in range(len(triples)) if (mask >> i) & 1)
 
 
 def build(r: int, n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:

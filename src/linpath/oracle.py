@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .errors import InvalidParameterError, OrderTooLargeError, SearchExhaustedError
-from .hypergraph import Hypergraph, all_triples, least_vertex, mask_vertices
+from .hypergraph import Hypergraph, all_triples, least_vertex, mask_edges, mask_vertices
 from .paths import CyclePlusWitness, LinearCycle, LinearPath
 
 
@@ -257,11 +257,11 @@ def closure_witness(H: Hypergraph, P: LinearPath) -> Optional[CyclePlusWitness]:
     return CyclePlusWitness(P, outside[0], outside[1]).validate(H)
 
 
-def enumerate_hypergraphs(n: int, min_degree: int = 0) -> Iterator[Hypergraph]:
-    """Every labeled simple 3-graph on n vertices (n <= 6) with minimum
-    degree at least ``min_degree``, each once, by increasing edge mask over
-    the sorted triples.  Degrees are read off the mask, so only the graphs
-    that pass are built."""
+def edge_masks(n: int, min_degree: int = 0) -> Iterator[int]:
+    """Every edge mask of a labeled 3-graph on n vertices (n <= 6) with
+    minimum degree at least ``min_degree``, in increasing order.  Bit i of
+    a mask stands for triple i of ``all_triples(n)``, and the degree of v
+    is the number of set bits the mask shares with the triples at v."""
     if n > 6:
         raise OrderTooLargeError(f"exhaustive enumeration capped at n=6, got {n}")
     if n < 3:
@@ -274,5 +274,14 @@ def enumerate_hypergraphs(n: int, min_degree: int = 0) -> Iterator[Hypergraph]:
             at[v] |= 1 << i
     for mask in range(1 << m):
         if all((mask & a).bit_count() >= min_degree for a in at):
-            edges = tuple(triples[i] for i in range(m) if (mask >> i) & 1)
-            yield Hypergraph(n, edges)
+            yield mask
+
+
+def enumerate_hypergraphs(n: int, min_degree: int = 0) -> Iterator[Hypergraph]:
+    """Every labeled simple 3-graph on n vertices (n <= 6) with minimum
+    degree at least ``min_degree``, each once: one host per mask of
+    :func:`edge_masks`, in its order.  Only the graphs that pass are
+    built.  ``harness.exhaustive_check`` walks the masks themselves, so
+    that it builds only the hosts no earlier witness decides."""
+    for mask in edge_masks(n, min_degree):
+        yield Hypergraph(n, mask_edges(n, mask))

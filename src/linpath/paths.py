@@ -100,10 +100,6 @@ class CyclePlusWitness:
     closing: int
     parallel: int
 
-    @property
-    def cycle_length(self) -> int:
-        return self.path.length + 1
-
     def cycle_vertices(self) -> tuple:
         """The underlying (t+1)-cycle as a cyclic sequence of 2t+2 vertices."""
         return self.path.vertices + (self.closing,)

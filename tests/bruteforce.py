@@ -2,7 +2,9 @@
 
 Deliberately share no code with the package's search: paths are found by
 trying every injective vertex sequence, degrees by scanning the raw edge
-list.  Only usable at tiny scale.
+list.  Only usable at tiny scale.  The one exception is
+``reference_exhaustive_check``, which keeps ``oracle.find_path`` as the
+decider and differs from the package only in how it walks the hosts.
 """
 
 import math
@@ -10,7 +12,9 @@ import random
 from itertools import combinations, permutations
 from math import comb
 
-from linpath.hypergraph import build
+from linpath import oracle
+from linpath.hypergraph import build, serialize
+from linpath.report import VerificationReport
 
 
 def brute_force_paths(H, t):
@@ -220,3 +224,40 @@ def reference_gen_star_plus(r, n, k):
 def reference_gen_complete(r, n):
     """All C(n,r) edges."""
     return build(r, n, combinations(range(n), r))
+
+
+# -- references for the exhaustive check -----------------------------------
+
+
+def reference_enumerate_hypergraphs(n, min_degree=0):
+    """Every labeled 3-graph on n vertices with minimum degree at least
+    min_degree: each subset of the sorted triples, in increasing order of
+    its bitmask, built by ``build`` and filtered on the raw edge list."""
+    triples = list(combinations(range(n), 3))
+    for mask in range(1 << len(triples)):
+        H = build(3, n, [tr for i, tr in enumerate(triples) if mask >> i & 1])
+        if all(naive_degree(H, v) >= min_degree for v in range(n)):
+            yield H
+
+
+def reference_exhaustive_check(n, delta, t):
+    """``harness.exhaustive_check`` as a walk over hosts: every host of the
+    enumeration is built and searched by ``oracle.find_path``, and no
+    witness is reused."""
+    total = 0
+    passed = 0
+    counterexamples = []
+    for H in oracle.enumerate_hypergraphs(n, delta):
+        total += 1
+        if oracle.find_path(H, t) is not None:
+            passed += 1
+        elif len(counterexamples) < 5:
+            counterexamples.append(serialize(H))
+    report = VerificationReport(
+        subject=f"exhaustive n={n} delta>={delta} t={t}",
+        replay={"n": n, "delta": delta, "t": t},
+    )
+    report.add("graphs_checked", ">=1", total, total >= 1)
+    report.add("all_contain_path", total, passed, passed == total)
+    report.witnesses.extend(counterexamples)
+    return report

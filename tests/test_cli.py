@@ -268,6 +268,15 @@ class TestVerify:
         assert code == 1
         assert "result: FAIL" in out
 
+    @pytest.mark.parametrize("delta, length", [("7", "0"), ("0", "0"), ("-3", "2")])
+    def test_exhaustive_bad_length_or_degree_exit_2(self, capsys, delta, length):
+        code, out, err = run_cli(
+            capsys, "verify", "--exhaustive", "--n", "5",
+            "--min-degree", delta, "--length", length,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     def test_needs_a_mode(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "5")
         assert code == 2

@@ -229,7 +229,7 @@ class TestCrossingCyclePlus:
         w = crossing_cycle_plus(H, ctx, 1)
         assert w is not None
         w.validate(H)
-        assert w.cycle_length == base.length + 1
+        assert w.path.length == base.length  # so the cycle has one edge more
 
 
 class TestClosureWitness:

@@ -18,7 +18,7 @@ from linpath.harness import (
 )
 from linpath.hypergraph import Hypergraph, build, parse, serialize
 
-from bruteforce import reference_random_min_degree_graph
+from bruteforce import reference_exhaustive_check, reference_random_min_degree_graph
 
 
 class TestRandomMinDegreeGraph:
@@ -174,6 +174,71 @@ class TestExhaustiveCheck:
         text = report.to_text()
         assert hashlib.sha256(text.encode()).hexdigest() == self.FROZEN_TEXT_SHA256[args]
         assert len(report.witnesses) == len(calls) == 5
+
+    @pytest.mark.parametrize("args", [(5, 7, 0), (5, 0, 0), (5, 4, -1), (5, -3, 2),
+                                      (7, -1, 2), (7, 0, 0)])
+    def test_bad_length_or_degree_rejected_before_enumerating(self, monkeypatch, args):
+        def refuse(*_args):
+            raise AssertionError("enumerated despite bad input")
+
+        monkeypatch.setattr(oracle, "edge_masks", refuse)
+        monkeypatch.setattr(oracle, "enumerate_hypergraphs", refuse)
+        with pytest.raises(InvalidParameterError):
+            exhaustive_check(*args)
+
+
+class TestExhaustiveWitnessReuse:
+    """The walk over edge masks that reuses found witnesses, against the
+    walk that builds and searches every host (bruteforce.py)."""
+
+    # sha256 of to_text(), computed by the walk over every host
+    FROZEN_TEXT_SHA256 = {
+        (4, 0, 1): "38898622bb3c23beeb3aae5ffc95c5f30dbd787288a9e0fa939990d2964ba66a",
+        (5, 0, 3): "a422069c728618117771bfe97427854e0e5cf205ddaf7e14be4efcb29193932f",
+        (5, 2, 2): "df10f149d50af558579943f8e6e46a0ccf0f79cc27fbb2440bb8a71edbec6933",
+        (5, 7, 1): "36e0cdfa9a23e48ad037b1fe27ac387555a1857d60ad62517e580e993c35ad8e",
+        (6, 6, 2): "5211677267301810ef0dd7b634daab41791785faf11db75ef4cae39ba3e7ad71",
+    }
+    # t = 1 with delta = 1..6 and t = 2 with delta = 2..6, on 5 vertices
+    SWEEP_CASES = [(5, d, 1) for d in range(1, 7)] + [(5, d, 2) for d in range(2, 7)]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_text_matches_reference_walk(self, n):
+        # (5, 0, 2) and (5, 0, 3) have more counterexamples than are kept
+        for delta in range(8):
+            for t in (1, 2, 3):
+                got = exhaustive_check(n, delta, t).to_text()
+                assert got == reference_exhaustive_check(n, delta, t).to_text()
+
+    def test_n6_delta6_t2_matches_reference_walk(self):
+        got = exhaustive_check(6, 6, 2).to_text()
+        assert got == reference_exhaustive_check(6, 6, 2).to_text()
+        assert hashlib.sha256(got.encode()).hexdigest() == self.FROZEN_TEXT_SHA256[(6, 6, 2)]
+
+    @pytest.mark.parametrize("args", sorted(set(FROZEN_TEXT_SHA256) - {(6, 6, 2)}),
+                             ids=lambda a: "n{}_delta{}_t{}".format(*a))
+    def test_frozen_text(self, args):
+        text = exhaustive_check(*args).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.FROZEN_TEXT_SHA256[args]
+
+    def test_sweep_builds_and_searches_48_hosts(self, monkeypatch):
+        # the walk over every host builds and searches 3,186
+        searches, builds = [], []
+        find_path, init = oracle.find_path, Hypergraph.__init__
+
+        def counting_find_path(H, t, budget=None):
+            searches.append(H)
+            return find_path(H, t, budget)
+
+        def counting_init(host, n, edges):
+            builds.append(edges)
+            init(host, n, edges)
+
+        monkeypatch.setattr(oracle, "find_path", counting_find_path)
+        monkeypatch.setattr(Hypergraph, "__init__", counting_init)
+        reports = [exhaustive_check(*args) for args in self.SWEEP_CASES]
+        assert all(report.passed for report in reports)
+        assert len(searches) == len(builds) == 48
 
 
 class TestRunTrials:

@@ -11,7 +11,7 @@ from linpath.errors import (
     RepeatedVertexError,
     VertexOutOfRangeError,
 )
-from linpath.hypergraph import all_triples, build, parse, serialize
+from linpath.hypergraph import all_triples, build, mask_vertices, parse, serialize
 
 from bruteforce import naive_degree, naive_set_degree
 
@@ -72,7 +72,7 @@ class TestDegrees:
     def test_star_pair_degree(self):
         from linpath.constructions import gen_star
 
-        assert len(gen_star(3, 8, 1).pair_neighborhood(1, 2)) == 1
+        assert len(mask_vertices(gen_star(3, 8, 1).link(1, 2))) == 1
 
     def test_min_degree_k4(self):
         assert k4().min_degree() == 3
@@ -101,16 +101,16 @@ class TestDegrees:
 
 class TestPairNeighborhood:
     def test_k4(self):
-        assert k4().pair_neighborhood(0, 1) == (2, 3)
+        assert mask_vertices(k4().link(0, 1)) == (2, 3)
 
     def test_star(self):
         from linpath.constructions import gen_star
 
-        assert gen_star(3, 8, 1).pair_neighborhood(0, 1) == (2, 3, 4, 5, 6, 7)
+        assert mask_vertices(gen_star(3, 8, 1).link(0, 1)) == (2, 3, 4, 5, 6, 7)
 
     def test_empty(self):
         H = build(3, 5, [(0, 1, 2)])
-        assert H.pair_neighborhood(3, 4) == ()
+        assert mask_vertices(H.link(3, 4)) == ()
 
     def test_requires_r3(self):
         # pair neighbourhoods exist only in 3-graphs, the only kind build makes
@@ -160,7 +160,7 @@ def test_index_matches_naive_scan(H):
 def test_pair_neighborhood_size_is_codegree(H):
     for u in range(H.n):
         for v in range(u + 1, H.n):
-            assert len(H.pair_neighborhood(u, v)) == naive_set_degree(H, [u, v])
+            assert len(mask_vertices(H.link(u, v))) == naive_set_degree(H, [u, v])
 
 
 @given(small_3graphs())

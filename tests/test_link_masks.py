@@ -95,9 +95,8 @@ def check_host(H):
         assert H.has_edge(tr) == (tr in edge_set)
         assert H.has_edge(reversed(tr)) == (tr in edge_set)
     for u, v in combinations(range(H.n), 2):
-        assert H.pair_neighborhood(u, v) == naive_pair_neighborhood(H, u, v)
+        assert mask_vertices(H.link(u, v)) == naive_pair_neighborhood(H, u, v)
         assert H.link(u, v) == H.link(v, u)
-        assert mask_vertices(H.link(u, v)) == H.pair_neighborhood(v, u)
         assert _are_twins(H, u, v) == reference_are_twins(H, u, v)
     assert _twins_below(H) == reference_twins_below(H)
 

@@ -5,9 +5,10 @@ from itertools import islice
 import pytest
 
 from linpath.constructions import gen_complete, gen_core, gen_star, gen_star_plus
-from linpath.errors import OrderTooLargeError, SearchExhaustedError
-from linpath.hypergraph import Hypergraph, all_triples, build
+from linpath.errors import InvalidParameterError, OrderTooLargeError, SearchExhaustedError
+from linpath.hypergraph import Hypergraph, all_triples, build, mask_edges
 from linpath.oracle import (
+    edge_masks,
     enumerate_hypergraphs,
     find_cycle,
     find_cycle_plus,
@@ -16,7 +17,12 @@ from linpath.oracle import (
     longest_path,
 )
 
-from bruteforce import brute_force_cycle, brute_force_path, brute_force_paths
+from bruteforce import (
+    brute_force_cycle,
+    brute_force_path,
+    brute_force_paths,
+    reference_enumerate_hypergraphs,
+)
 
 
 def random_3graph(n, p, rng):
@@ -90,7 +96,7 @@ class TestFindCycle:
 class TestFindCyclePlus:
     def test_complete_7(self):
         w = find_cycle_plus(gen_complete(3, 7), 3)
-        assert w is not None and w.cycle_length == 3
+        assert w is not None and w.path.length + 1 == 3
 
     def test_complete_6_too_small(self):
         assert find_cycle_plus(gen_complete(3, 6), 3) is None
@@ -124,16 +130,34 @@ class TestEnumeration:
         assert count == 86
 
     def test_min_degree_filter(self):
-        # same graphs, same order, as filtering the whole enumeration
-        for n in (4, 5):
+        # same graphs, same order, as building every subset of triples and
+        # filtering on the edge list
+        for n in (3, 4, 5):
             for d in range(8):
-                assert list(enumerate_hypergraphs(n, d)) == [
-                    H for H in enumerate_hypergraphs(n) if H.min_degree() >= d
-                ]
+                assert list(enumerate_hypergraphs(n, d)) == list(
+                    reference_enumerate_hypergraphs(n, d)
+                )
+
+    def test_edge_masks_increase_and_decode_to_the_hosts(self):
+        for d in (0, 3, 6):
+            masks = list(edge_masks(5, d))
+            assert masks == sorted(set(masks))
+            assert [mask_edges(5, m) for m in masks] == [
+                H.edges for H in reference_enumerate_hypergraphs(5, d)
+            ]
 
     def test_order_cap(self):
         with pytest.raises(OrderTooLargeError):
             next(enumerate_hypergraphs(7))
+        with pytest.raises(OrderTooLargeError):
+            next(edge_masks(7))
+
+    def test_order_floor(self):
+        for n in (0, 2):
+            with pytest.raises(InvalidParameterError):
+                next(enumerate_hypergraphs(n))
+            with pytest.raises(InvalidParameterError):
+                next(edge_masks(n))
 
 
 def witness(H, t):
