@@ -173,37 +173,42 @@ def exhaustive_check(n: int, delta: int, t: int) -> VerificationReport:
     least delta, confirm a linear t-path exists; every counterexample is
     counted, and the first five are serialized and kept.
 
-    The walk is over the edge masks of ``oracle.edge_masks``, in increasing
-    order, and reuses the witnesses already found.  The edge mask of every
-    path ``find_path`` returns is recorded.  A host whose mask contains a
-    recorded one is counted as passed without being built or searched: it
-    has every edge of that path, whose vertices are distinct, so the path
-    ``find_path`` validated on its own host is a linear t-path here too.
-    Every other host is built and searched, so ``find_path`` still decides
-    each host, and the counts and counterexamples are those of a search
-    of every host.
+    The hosts are one set: the int of ``oracle.edge_mask_set``, with a bit
+    per passing edge mask.  The walk builds and searches the least pending
+    mask.  On a hit, every pending mask at or above it that has all the
+    path's triples (an AND of ``oracle.masks_with_triple`` sets) has that
+    path too, its vertices being distinct, so the whole set is counted as
+    passed and leaves the pending set.  On a miss the mask is a
+    counterexample.  The cursor reads a binary string of the pending set,
+    rebuilt only after a hit, so a miss costs no pass over all 2^C(n,3)
+    bits.  A mask is searched exactly when no earlier witness lies in it,
+    and ``find_path`` decides every host it searches, so the counts and
+    counterexamples are those of a search of every host.
     """
     if t < 1:
         raise InvalidParameterError(f"path length t={t} must be >= 1")
     if delta < 0:
         raise InvalidParameterError(f"need min degree >= 0, got {delta}")
-    total = 0
+    pending = oracle.edge_mask_set(n, delta)
+    has = oracle.masks_with_triple(n)
+    total = pending.bit_count()
     passed = 0
     counterexamples: List[str] = []
-    witnesses: List[int] = []  # edge masks of the paths found so far
-    for mask in oracle.edge_masks(n, delta):
-        total += 1
-        if any(w & mask == w for w in witnesses):
-            passed += 1
-            continue
+    bits = bin(pending)[:1:-1]  # bit i at index i
+    mask = bits.find("1")
+    while mask >= 0:
         H = Hypergraph(n, mask_edges(n, mask))
         hit = oracle.find_path(H, t)
         if hit is not None:
-            passed += 1
-            triples = all_triples(n)
-            witnesses.append(sum(1 << triples.index(e) for e in hit.edges()))
+            covered = pending >> mask << mask
+            for e in hit.edges():
+                covered &= has[all_triples(n).index(e)]
+            passed += covered.bit_count()
+            pending ^= covered
+            bits = bin(pending)[:1:-1]
         elif len(counterexamples) < 5:
             counterexamples.append(serialize(H))
+        mask = bits.find("1", mask + 1)
     report = VerificationReport(
         subject=f"exhaustive n={n} delta>={delta} t={t}",
         replay={"n": n, "delta": delta, "t": t},

@@ -27,6 +27,8 @@ link.  Path enumeration and the cycle searches are not pruned.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb
 from typing import Iterator, Optional
 
 from .errors import InvalidParameterError, OrderTooLargeError, SearchExhaustedError
@@ -257,31 +259,74 @@ def closure_witness(H: Hypergraph, P: LinearPath) -> Optional[CyclePlusWitness]:
     return CyclePlusWitness(P, outside[0], outside[1]).validate(H)
 
 
-def edge_masks(n: int, min_degree: int = 0) -> Iterator[int]:
-    """Every edge mask of a labeled 3-graph on n vertices (n <= 6) with
-    minimum degree at least ``min_degree``, in increasing order.  Bit i of
-    a mask stands for triple i of ``all_triples(n)``, and the degree of v
-    is the number of set bits the mask shares with the triples at v."""
+@lru_cache(maxsize=1)
+def masks_with_triple(n: int) -> tuple:
+    """For each triple i of ``all_triples(n)``, the set of edge masks that
+    have it, as an int of 2^C(n,3) bits: bit ``mask`` is set when bit i of
+    ``mask`` is.  That is runs of 2^i zeros and 2^i ones, built from one
+    pair of runs by doubling.  The table (2.5 MiB at n = 6) is cached for
+    the last order asked for only, like ``all_triples``."""
+    size = 1 << comb(n, 3)
+    sets = []
+    for i in range(comb(n, 3)):
+        run = 1 << i
+        pattern, width = ((1 << run) - 1) << run, 2 * run
+        while width < size:
+            pattern, width = pattern | pattern << width, 2 * width
+        sets.append(pattern)
+    return tuple(sets)
+
+
+def edge_mask_set(n: int, min_degree: int = 0) -> int:
+    """The edge masks of :func:`edge_masks` as one set: an int of
+    2^C(n,3) bits, with bit ``mask`` set when that host passes.
+
+    Bit i of a mask stands for triple i of ``all_triples(n)``.  For each
+    vertex v, ``at_least[k]`` is the set of passing masks so far that have
+    at least k of the triples at v: adding triple i keeps every mask that
+    already had k of them, and adds those with k - 1 that also have
+    triple i.  The masks with at least ``min_degree`` triples at v pass on
+    to the next vertex.  So the whole degree filter is a few hundred
+    big-int operations, not one popcount per vertex and mask.
+    """
     if n > 6:
         raise OrderTooLargeError(f"exhaustive enumeration capped at n=6, got {n}")
     if n < 3:
         raise InvalidParameterError(f"need n >= 3 for 3-graphs, got {n}")
+    passing = (1 << (1 << comb(n, 3))) - 1
+    if min_degree <= 0:
+        return passing
+    has = masks_with_triple(n)
     triples = all_triples(n)
-    m = len(triples)
-    at = [0] * n  # per vertex, the mask of the triples that contain it
-    for i, e in enumerate(triples):
-        for v in e:
-            at[v] |= 1 << i
-    for mask in range(1 << m):
-        if all((mask & a).bit_count() >= min_degree for a in at):
-            yield mask
+    for v in range(n):
+        at_least = [passing] + [0] * min_degree
+        at_v = [i for i, e in enumerate(triples) if v in e]
+        for j, i in enumerate(at_v):
+            for k in range(min(min_degree, j + 1), 0, -1):
+                at_least[k] |= at_least[k - 1] & has[i]
+        passing = at_least[min_degree]
+    return passing
+
+
+def edge_masks(n: int, min_degree: int = 0) -> Iterator[int]:
+    """Every edge mask of a labeled 3-graph on n vertices (n <= 6) with
+    minimum degree at least ``min_degree``, in increasing order: the set
+    bits of :func:`edge_mask_set`, found in its binary string.  Bit i of a
+    mask stands for triple i of ``all_triples(n)``, and the degree of v is
+    the number of set bits the mask shares with the triples at v."""
+    bits = bin(edge_mask_set(n, min_degree))[:1:-1]  # bit i at index i
+    mask = bits.find("1")
+    while mask >= 0:
+        yield mask
+        mask = bits.find("1", mask + 1)
 
 
 def enumerate_hypergraphs(n: int, min_degree: int = 0) -> Iterator[Hypergraph]:
     """Every labeled simple 3-graph on n vertices (n <= 6) with minimum
     degree at least ``min_degree``, each once: one host per mask of
     :func:`edge_masks`, in its order.  Only the graphs that pass are
-    built.  ``harness.exhaustive_check`` walks the masks themselves, so
-    that it builds only the hosts no earlier witness decides."""
+    built.  ``harness.exhaustive_check`` walks the set of
+    :func:`edge_mask_set` itself, so that it builds only the hosts no
+    earlier witness decides."""
     for mask in edge_masks(n, min_degree):
         yield Hypergraph(n, mask_edges(n, mask))

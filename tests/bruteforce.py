@@ -4,7 +4,9 @@ Deliberately share no code with the package's search: paths are found by
 trying every injective vertex sequence, degrees by scanning the raw edge
 list.  Only usable at tiny scale.  The one exception is
 ``reference_exhaustive_check``, which keeps ``oracle.find_path`` as the
-decider and differs from the package only in how it walks the hosts.
+decider and differs from the package only in how it walks the hosts: over
+``reference_edge_masks``, a popcount per vertex and mask, each host built
+and searched.
 """
 
 import math
@@ -13,7 +15,8 @@ from itertools import combinations, permutations
 from math import comb
 
 from linpath import oracle
-from linpath.hypergraph import build, serialize
+from linpath.errors import InvalidParameterError, OrderTooLargeError
+from linpath.hypergraph import Hypergraph, all_triples, build, mask_edges, serialize
 from linpath.report import VerificationReport
 
 
@@ -240,14 +243,33 @@ def reference_enumerate_hypergraphs(n, min_degree=0):
             yield H
 
 
+def reference_edge_masks(n, min_degree=0):
+    """``oracle.edge_masks`` as the flat scan it replaced: every mask is
+    tested, with one popcount per vertex."""
+    if n > 6:
+        raise OrderTooLargeError(f"exhaustive enumeration capped at n=6, got {n}")
+    if n < 3:
+        raise InvalidParameterError(f"need n >= 3 for 3-graphs, got {n}")
+    triples = all_triples(n)
+    m = len(triples)
+    at = [0] * n  # per vertex, the mask of the triples that contain it
+    for i, e in enumerate(triples):
+        for v in e:
+            at[v] |= 1 << i
+    for mask in range(1 << m):
+        if all((mask & a).bit_count() >= min_degree for a in at):
+            yield mask
+
+
 def reference_exhaustive_check(n, delta, t):
     """``harness.exhaustive_check`` as a walk over hosts: every host of the
-    enumeration is built and searched by ``oracle.find_path``, and no
+    flat scan is built and searched by ``oracle.find_path``, and no
     witness is reused."""
     total = 0
     passed = 0
     counterexamples = []
-    for H in oracle.enumerate_hypergraphs(n, delta):
+    for mask in reference_edge_masks(n, delta):
+        H = Hypergraph(n, mask_edges(n, mask))
         total += 1
         if oracle.find_path(H, t) is not None:
             passed += 1

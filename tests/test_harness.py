@@ -181,23 +181,53 @@ class TestExhaustiveCheck:
         def refuse(*_args):
             raise AssertionError("enumerated despite bad input")
 
-        monkeypatch.setattr(oracle, "edge_masks", refuse)
-        monkeypatch.setattr(oracle, "enumerate_hypergraphs", refuse)
+        for name in ("edge_mask_set", "masks_with_triple", "edge_masks",
+                     "enumerate_hypergraphs", "find_path"):
+            monkeypatch.setattr(oracle, name, refuse)
         with pytest.raises(InvalidParameterError):
             exhaustive_check(*args)
+        # the refusals cover what the walk calls: good input trips them
+        with pytest.raises(AssertionError, match="enumerated despite bad input"):
+            exhaustive_check(5, 4, 2)
+
+    # delta = 2 is the least minimum degree that forces a linear 2-path on
+    # 6 vertices; (hosts, hosts with a path, sha256 of to_text()), computed
+    # by the walk that scanned every mask's degrees
+    N6_THRESHOLD = {
+        (6, 0, 1): (1_048_576, 1_048_575,
+                    "3cbf784342e92e14e60b9329af018d97e87b22dbcbd165006f6a44acd6312558"),
+        (6, 1, 2): (1_042_642, 1_042_617,
+                    "815da5e353099babfee4d5ad2082f1baca3f14d2a23ebe837c725e413e9f8663"),
+        (6, 2, 2): (990_687, 990_687,
+                    "031944d1329b1033a313e531661ada047ec6cd6da6ae36899cb3a24269040817"),
+    }
+
+    @pytest.mark.parametrize("args", sorted(N6_THRESHOLD),
+                             ids=lambda a: "n{}_delta{}_t{}".format(*a))
+    def test_n6_threshold(self, args):
+        total, with_path, digest = self.N6_THRESHOLD[args]
+        report = exhaustive_check(*args)
+        counts = {c.name: c.observed for c in report.checks}
+        assert counts == {"graphs_checked": str(total), "all_contain_path": str(with_path)}
+        assert report.passed == (total == with_path)
+        assert len(report.witnesses) == min(5, total - with_path)
+        assert hashlib.sha256(report.to_text().encode()).hexdigest() == digest
 
 
 class TestExhaustiveWitnessReuse:
     """The walk over edge masks that reuses found witnesses, against the
     walk that builds and searches every host (bruteforce.py)."""
 
-    # sha256 of to_text(), computed by the walk over every host
+    # sha256 of to_text(), computed by the walk over every host; at n = 6
+    # and delta = 4 and 8, by the walk that scanned every mask's degrees
     FROZEN_TEXT_SHA256 = {
         (4, 0, 1): "38898622bb3c23beeb3aae5ffc95c5f30dbd787288a9e0fa939990d2964ba66a",
         (5, 0, 3): "a422069c728618117771bfe97427854e0e5cf205ddaf7e14be4efcb29193932f",
         (5, 2, 2): "df10f149d50af558579943f8e6e46a0ccf0f79cc27fbb2440bb8a71edbec6933",
         (5, 7, 1): "36e0cdfa9a23e48ad037b1fe27ac387555a1857d60ad62517e580e993c35ad8e",
+        (6, 4, 2): "fd2b2ee0d5f410dc226d261bb0a6ed8dfa58152ba6fc71bdf0e3816baec3ed96",
         (6, 6, 2): "5211677267301810ef0dd7b634daab41791785faf11db75ef4cae39ba3e7ad71",
+        (6, 8, 3): "61a4de9258417e886a775bd5525b08417a76c8546306d480a95d3edcc19fe6f0",
     }
     # t = 1 with delta = 1..6 and t = 2 with delta = 2..6, on 5 vertices
     SWEEP_CASES = [(5, d, 1) for d in range(1, 7)] + [(5, d, 2) for d in range(2, 7)]

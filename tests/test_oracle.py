@@ -1,6 +1,7 @@
 import gc
 import random
 from itertools import islice
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ from linpath.constructions import gen_complete, gen_core, gen_star, gen_star_plu
 from linpath.errors import InvalidParameterError, OrderTooLargeError, SearchExhaustedError
 from linpath.hypergraph import Hypergraph, all_triples, build, mask_edges
 from linpath.oracle import (
+    edge_mask_set,
     edge_masks,
     enumerate_hypergraphs,
     find_cycle,
@@ -21,6 +23,7 @@ from bruteforce import (
     brute_force_cycle,
     brute_force_path,
     brute_force_paths,
+    reference_edge_masks,
     reference_enumerate_hypergraphs,
 )
 
@@ -146,11 +149,22 @@ class TestEnumeration:
                 H.edges for H in reference_enumerate_hypergraphs(5, d)
             ]
 
+    def test_edge_masks_match_the_flat_scan(self):
+        # the set algebra against a popcount per vertex and mask, at every
+        # degree bound from below 0 to above the largest possible degree
+        for n in (3, 4, 5):
+            for d in range(-1, comb(n - 1, 2) + 2):
+                assert list(edge_masks(n, d)) == list(reference_edge_masks(n, d))
+        for d in (9, 10):
+            assert list(edge_masks(6, d)) == list(reference_edge_masks(6, d))
+
     def test_order_cap(self):
         with pytest.raises(OrderTooLargeError):
             next(enumerate_hypergraphs(7))
         with pytest.raises(OrderTooLargeError):
             next(edge_masks(7))
+        with pytest.raises(OrderTooLargeError):
+            edge_mask_set(7)
 
     def test_order_floor(self):
         for n in (0, 2):
@@ -158,6 +172,8 @@ class TestEnumeration:
                 next(enumerate_hypergraphs(n))
             with pytest.raises(InvalidParameterError):
                 next(edge_masks(n))
+            with pytest.raises(InvalidParameterError):
+                edge_mask_set(n)
 
 
 def witness(H, t):
