@@ -71,8 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--min-degree", type=int, required=True)
     exp.add_argument("--trials", type=int, default=100)
     exp.add_argument("--seed", type=int, required=True)
-    exp.add_argument("--generator", default="conditioned-random",
-                     choices=["conditioned-random", "construction", "exhaustive"])
     exp.add_argument("--oracle-checks", type=int, default=0)
     exp.add_argument("--out", default=None)
     exp.add_argument("--timing", action="store_true")
@@ -171,7 +169,6 @@ def _cmd_experiment(args) -> int:
         min_degree=args.min_degree,
         trials=args.trials,
         seed=args.seed,
-        generator=args.generator,
         out=args.out,
         oracle_checks=args.oracle_checks,
         timing=args.timing,

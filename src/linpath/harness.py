@@ -29,7 +29,7 @@ from .constructions import (
     star_plus_min_degree,
     theorem_threshold,
 )
-from .errors import InfeasibleDegreeError, InvalidParameterError, OrderTooLargeError
+from .errors import InfeasibleDegreeError, InvalidParameterError
 from .finder import (
     PathContext,
     check_lemma_bounds,
@@ -62,7 +62,6 @@ class ExperimentConfig:
     min_degree: int
     trials: int
     seed: int
-    generator: str = "conditioned-random"  # | construction | exhaustive
     out: Optional[str] = None
     oracle_checks: int = 0
     # wall_time is left blank unless timing is requested, so that replays
@@ -72,10 +71,6 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.trials < 1:
             raise InvalidParameterError("trial count must be >= 1")
-        if self.generator not in ("conditioned-random", "construction", "exhaustive"):
-            raise InvalidParameterError(f"unknown generator {self.generator!r}")
-        if self.generator == "exhaustive" and self.n > 6:
-            raise OrderTooLargeError("exhaustive generator capped at n=6")
         return self
 
 
@@ -173,42 +168,25 @@ def exhaustive_check(n: int, delta: int, t: int) -> VerificationReport:
     least delta, confirm a linear t-path exists; every counterexample is
     counted, and the first five are serialized and kept.
 
-    The hosts are one set: the int of ``oracle.edge_mask_set``, with a bit
-    per passing edge mask.  The walk builds and searches the least pending
-    mask.  On a hit, every pending mask at or above it that has all the
-    path's triples (an AND of ``oracle.masks_with_triple`` sets) has that
-    path too, its vertices being distinct, so the whole set is counted as
-    passed and leaves the pending set.  On a miss the mask is a
-    counterexample.  The cursor reads a binary string of the pending set,
-    rebuilt only after a hit, so a miss costs no pass over all 2^C(n,3)
-    bits.  A mask is searched exactly when no earlier witness lies in it,
-    and ``find_path`` decides every host it searches, so the counts and
-    counterexamples are those of a search of every host.
+    No host is searched.  The hosts are one set, ``oracle.edge_mask_set``,
+    with a bit per passing edge mask, and ``oracle.masks_with_path`` is the
+    set of masks whose host has a t-path.  The counterexamples are the
+    hosts minus that set; the five least are built and serialized.
     """
     if t < 1:
         raise InvalidParameterError(f"path length t={t} must be >= 1")
     if delta < 0:
         raise InvalidParameterError(f"need min degree >= 0, got {delta}")
-    pending = oracle.edge_mask_set(n, delta)
-    has = oracle.masks_with_triple(n)
-    total = pending.bit_count()
-    passed = 0
+    hosts = oracle.edge_mask_set(n, delta)
+    missing = hosts & ~oracle.masks_with_path(n, t)
+    total = hosts.bit_count()
+    passed = total - missing.bit_count()
     counterexamples: List[str] = []
-    bits = bin(pending)[:1:-1]  # bit i at index i
-    mask = bits.find("1")
-    while mask >= 0:
-        H = Hypergraph(n, mask_edges(n, mask))
-        hit = oracle.find_path(H, t)
-        if hit is not None:
-            covered = pending >> mask << mask
-            for e in hit.edges():
-                covered &= has[all_triples(n).index(e)]
-            passed += covered.bit_count()
-            pending ^= covered
-            bits = bin(pending)[:1:-1]
-        elif len(counterexamples) < 5:
-            counterexamples.append(serialize(H))
-        mask = bits.find("1", mask + 1)
+    while missing and len(counterexamples) < 5:
+        least = missing & -missing
+        mask = least.bit_length() - 1
+        counterexamples.append(serialize(Hypergraph(n, mask_edges(n, mask))))
+        missing ^= least
     report = VerificationReport(
         subject=f"exhaustive n={n} delta>={delta} t={t}",
         replay={"n": n, "delta": delta, "t": t},
@@ -217,26 +195,6 @@ def exhaustive_check(n: int, delta: int, t: int) -> VerificationReport:
     report.add("all_contain_path", total, passed, passed == total)
     report.witnesses.extend(counterexamples)
     return report
-
-
-def _hosts(config: ExperimentConfig):
-    """(trial seed, host) for each trial in turn.  The exhaustive generator
-    walks one filtered enumeration, so trial i gets its i-th graph."""
-    if config.generator == "exhaustive":
-        graphs = oracle.enumerate_hypergraphs(config.n, config.min_degree)
-    for trial in range(config.trials):
-        tseed = (config.seed * 1_000_003 + trial) & 0xFFFFFFFFFFFFFFFF
-        if config.generator == "conditioned-random":
-            H = random_min_degree_graph(config.n, config.min_degree, tseed)
-        elif config.generator == "construction":
-            H = gen_star(3, config.n, max(1, (config.t - 1) // 2))
-        else:
-            H = next(graphs, None)
-            if H is None:
-                raise InvalidParameterError(
-                    f"exhaustive generator ran out of graphs at trial {trial}"
-                )
-        yield tseed, H
 
 
 def run_trials(config: ExperimentConfig) -> TrialsResult:
@@ -248,7 +206,9 @@ def run_trials(config: ExperimentConfig) -> TrialsResult:
     counterexamples: List[Tuple[str, str]] = []
     successes = 0
     bound, min_n = theorem_threshold(config.n, config.t)
-    for trial, (tseed, H) in enumerate(_hosts(config)):
+    for trial in range(config.trials):
+        tseed = (config.seed * 1_000_003 + trial) & 0xFFFFFFFFFFFFFFFF
+        H = random_min_degree_graph(config.n, config.min_degree, tseed)
         moves = [0]
         start = time.perf_counter()
         result = find_guaranteed(

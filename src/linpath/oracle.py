@@ -27,7 +27,7 @@ link.  Path enumeration and the cycle searches are not pruned.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
 from typing import Iterator, Optional
 
@@ -277,6 +277,13 @@ def masks_with_triple(n: int) -> tuple:
     return tuple(sets)
 
 
+def _check_order(n: int) -> None:
+    if n > 6:
+        raise OrderTooLargeError(f"exhaustive enumeration capped at n=6, got {n}")
+    if n < 3:
+        raise InvalidParameterError(f"need n >= 3 for 3-graphs, got {n}")
+
+
 def edge_mask_set(n: int, min_degree: int = 0) -> int:
     """The edge masks of :func:`edge_masks` as one set: an int of
     2^C(n,3) bits, with bit ``mask`` set when that host passes.
@@ -289,10 +296,7 @@ def edge_mask_set(n: int, min_degree: int = 0) -> int:
     to the next vertex.  So the whole degree filter is a few hundred
     big-int operations, not one popcount per vertex and mask.
     """
-    if n > 6:
-        raise OrderTooLargeError(f"exhaustive enumeration capped at n=6, got {n}")
-    if n < 3:
-        raise InvalidParameterError(f"need n >= 3 for 3-graphs, got {n}")
+    _check_order(n)
     passing = (1 << (1 << comb(n, 3))) - 1
     if min_degree <= 0:
         return passing
@@ -325,8 +329,34 @@ def enumerate_hypergraphs(n: int, min_degree: int = 0) -> Iterator[Hypergraph]:
     """Every labeled simple 3-graph on n vertices (n <= 6) with minimum
     degree at least ``min_degree``, each once: one host per mask of
     :func:`edge_masks`, in its order.  Only the graphs that pass are
-    built.  ``harness.exhaustive_check`` walks the set of
-    :func:`edge_mask_set` itself, so that it builds only the hosts no
-    earlier witness decides."""
+    built.  ``harness.exhaustive_check`` builds none of them: it takes
+    the set difference of :func:`edge_mask_set` and
+    :func:`masks_with_path`."""
     for mask in edge_masks(n, min_degree):
         yield Hypergraph(n, mask_edges(n, mask))
+
+
+@cache
+def masks_with_path(n: int, t: int) -> int:
+    """The edge masks on n vertices (n <= 6) whose host has a linear
+    t-path, as an int of 2^C(n,3) bits like :func:`edge_mask_set`.
+
+    The vertices of a linear path are distinct, so a host has the path
+    exactly when it has the path's t edges.  The set is therefore the
+    union, over the distinct edge sets of the t-paths of the complete host,
+    of the AND of the ``masks_with_triple`` sets of their triples.  When
+    n < 2t+1 there is no such edge set and the set is empty.  Each (n, t)
+    is computed once, on its first call, and kept.
+    """
+    _check_order(n)
+    has = masks_with_triple(n)
+    triples = all_triples(n)
+    index = {e: i for i, e in enumerate(triples)}
+    complete = Hypergraph(n, triples)
+    found = 0
+    for edges in {frozenset(P.edges()) for P in iter_paths(complete, t)}:
+        with_edges = -1
+        for e in edges:
+            with_edges &= has[index[e]]
+        found |= with_edges
+    return found

@@ -310,6 +310,12 @@ class TestExperiment:
         assert (code, out) == (2, "")
         assert err.startswith("error: need ")
 
+    def test_no_generator_option(self, capsys):
+        # conditioned-random hosts are the only kind of trial
+        code, out, err = run_cli(capsys, *self.ARGS, "--generator", "exhaustive")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --generator exhaustive" in err
+
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "trials.csv"
         code, out, _ = run_cli(capsys, *self.ARGS, "--out", str(out_file))

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from itertools import islice
 
 import pytest
 
@@ -181,12 +180,12 @@ class TestExhaustiveCheck:
         def refuse(*_args):
             raise AssertionError("enumerated despite bad input")
 
-        for name in ("edge_mask_set", "masks_with_triple", "edge_masks",
-                     "enumerate_hypergraphs", "find_path"):
+        for name in ("edge_mask_set", "masks_with_triple", "masks_with_path",
+                     "iter_paths", "edge_masks", "enumerate_hypergraphs", "find_path"):
             monkeypatch.setattr(oracle, name, refuse)
         with pytest.raises(InvalidParameterError):
             exhaustive_check(*args)
-        # the refusals cover what the walk calls: good input trips them
+        # the refusals cover what the check calls: good input trips them
         with pytest.raises(AssertionError, match="enumerated despite bad input"):
             exhaustive_check(5, 4, 2)
 
@@ -215,12 +214,16 @@ class TestExhaustiveCheck:
 
 
 class TestExhaustiveWitnessReuse:
-    """The walk over edge masks that reuses found witnesses, against the
-    walk that builds and searches every host (bruteforce.py)."""
+    """The set difference of the hosts and the masks with a path, against
+    the walk that builds and searches every host (bruteforce.py)."""
 
     # sha256 of to_text(), computed by the walk over every host; at n = 6
-    # and delta = 4 and 8, by the walk that scanned every mask's degrees
+    # and delta = 4 and 8, by the walk that scanned every mask's degrees;
+    # (6, 4, 3) and (6, 0, 3), where no host can hold the path, by the walk
+    # that searched each host no earlier witness decided
     FROZEN_TEXT_SHA256 = {
+        (6, 0, 3): "abe7b0477f0ed6a86940933890311aa8495347ffe7cb044b4148992f81399563",
+        (6, 4, 3): "2ede69f45355a9bb05591573311627b47418283b2a67a3f00ffd08564fd981b0",
         (4, 0, 1): "38898622bb3c23beeb3aae5ffc95c5f30dbd787288a9e0fa939990d2964ba66a",
         (5, 0, 3): "a422069c728618117771bfe97427854e0e5cf205ddaf7e14be4efcb29193932f",
         (5, 2, 2): "df10f149d50af558579943f8e6e46a0ccf0f79cc27fbb2440bb8a71edbec6933",
@@ -251,8 +254,7 @@ class TestExhaustiveWitnessReuse:
         text = exhaustive_check(*args).to_text()
         assert hashlib.sha256(text.encode()).hexdigest() == self.FROZEN_TEXT_SHA256[args]
 
-    def test_sweep_builds_and_searches_48_hosts(self, monkeypatch):
-        # the walk over every host builds and searches 3,186
+    def test_sweep_searches_no_host(self, monkeypatch):
         searches, builds = [], []
         find_path, init = oracle.find_path, Hypergraph.__init__
 
@@ -266,9 +268,19 @@ class TestExhaustiveWitnessReuse:
 
         monkeypatch.setattr(oracle, "find_path", counting_find_path)
         monkeypatch.setattr(Hypergraph, "__init__", counting_init)
+        oracle.masks_with_path.cache_clear()
         reports = [exhaustive_check(*args) for args in self.SWEEP_CASES]
         assert all(report.passed for report in reports)
-        assert len(searches) == len(builds) == 48
+        # one complete host per (n, t), to list its paths' edge sets
+        assert (len(searches), len(builds)) == (0, 2)
+        builds.clear()
+        for args in self.SWEEP_CASES:
+            exhaustive_check(*args)
+        assert (len(searches), len(builds)) == (0, 0)
+        # once the sets are cached, a check builds only the counterexamples
+        # it keeps: 5 of the 76 at (5, 0, 2)
+        report = exhaustive_check(5, 0, 2)
+        assert (len(searches), len(builds), len(report.witnesses)) == (0, 5, 5)
 
 
 class TestRunTrials:
@@ -304,15 +316,6 @@ class TestRunTrials:
         assert result.rows[0][-2] == "true"
         assert result.rows[1][-2] == ""
 
-    def test_construction_generator_below_threshold(self):
-        cfg = self.config(generator="construction", min_degree=0, trials=1)
-        result = run_trials(cfg)
-        # star(23,1) has no 3-path and misses the degree bound: not a
-        # counterexample, just an unmet hypothesis
-        assert result.success_rate == 0.0
-        assert result.rows[0][5] == "HypothesisUnmet"
-        assert not result.counterexamples
-
     def test_out_written(self, tmp_path):
         out = tmp_path / "trials.csv"
         cfg = self.config(trials=2, out=str(out))
@@ -322,45 +325,6 @@ class TestRunTrials:
     def test_bad_config(self):
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(n=5, t=2, min_degree=1, trials=0, seed=0).validate()
-        with pytest.raises(InvalidParameterError):
-            ExperimentConfig(
-                n=5, t=2, min_degree=1, trials=1, seed=0, generator="magic"
-            ).validate()
-
-    def test_exhaustive_generator(self):
-        cfg = ExperimentConfig(
-            n=5, t=2, min_degree=4, trials=3, seed=0, generator="exhaustive"
-        )
-        result = run_trials(cfg)
-        assert result.success_rate == 1.0
-
-    def test_exhaustive_generator_enumerates_once(self, monkeypatch):
-        calls = []
-        enumerate_hypergraphs = oracle.enumerate_hypergraphs
-
-        def counting(*args):
-            calls.append(args)
-            return enumerate_hypergraphs(*args)
-
-        monkeypatch.setattr(oracle, "enumerate_hypergraphs", counting)
-        cfg = ExperimentConfig(
-            n=5, t=1, min_degree=1, trials=40, seed=0, generator="exhaustive"
-        )
-        result = run_trials(cfg)
-        assert len(calls) == 1
-        # trial i is the i-th graph of the filtered enumeration
-        graphs = enumerate_hypergraphs(5, 1)
-        assert [row[3] for row in result.rows[:-1]] == [
-            str(H.min_degree()) for H in islice(graphs, 40)
-        ]
-
-    def test_exhaustive_generator_runs_out(self):
-        # exactly 86 graphs on 5 vertices have min degree >= 4
-        cfg = ExperimentConfig(
-            n=5, t=2, min_degree=4, trials=87, seed=0, generator="exhaustive"
-        )
-        with pytest.raises(InvalidParameterError, match="at trial 86"):
-            run_trials(cfg)
 
 
 class TestLemmaSweep:

@@ -17,6 +17,7 @@ from linpath.oracle import (
     find_path,
     iter_paths,
     longest_path,
+    masks_with_path,
 )
 
 from bruteforce import (
@@ -165,6 +166,8 @@ class TestEnumeration:
             next(edge_masks(7))
         with pytest.raises(OrderTooLargeError):
             edge_mask_set(7)
+        with pytest.raises(OrderTooLargeError):
+            masks_with_path(7, 2)
 
     def test_order_floor(self):
         for n in (0, 2):
@@ -174,6 +177,53 @@ class TestEnumeration:
                 next(edge_masks(n))
             with pytest.raises(InvalidParameterError):
                 edge_mask_set(n)
+            with pytest.raises(InvalidParameterError):
+                masks_with_path(n, 1)
+
+
+class TestMasksWithPath:
+    """The set of edge masks whose host has a linear t-path, against the
+    brute-force search over every injective vertex sequence."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_brute_force_on_every_host(self, n):
+        for t in (1, 2, 3):
+            found = masks_with_path(n, t)
+            # the hosts of the flat scan, in increasing order of their mask
+            for mask, H in enumerate(reference_enumerate_hypergraphs(n)):
+                assert (found >> mask & 1) == (brute_force_path(H, t) is not None)
+            assert found < 1 << (1 << comb(n, 3))
+
+    def test_n6_counts(self):
+        # of the 2^20 hosts on 6 vertices, all but the empty one have a
+        # 1-path, 271 (the empty one among them) have no 2-path, and none
+        # has a 3-path, which needs 7 vertices
+        assert masks_with_path(6, 1).bit_count() == 1_048_575
+        assert masks_with_path(6, 2).bit_count() == 1_048_305
+        assert masks_with_path(6, 3) == 0
+
+    def test_n6_two_edge_hosts_are_the_path_edge_sets(self):
+        # a 2-edge host has a 2-path exactly when its edges are the edge set
+        # of one, so these masks are the family the set is built from
+        triples = all_triples(6)
+        found = masks_with_path(6, 2)
+        family = {
+            frozenset((triples[i], triples[j]))
+            for j in range(len(triples))
+            for i in range(j)
+            if found >> ((1 << i) | (1 << j)) & 1
+        }
+        complete = build(3, 6, all_triples(6))
+        paths = {
+            frozenset(tuple(sorted(seq[k : k + 3])) for k in (0, 2))
+            for seq in brute_force_paths(complete, 2)
+        }
+        assert len(family) == 90
+        assert family == paths
+
+    def test_bad_length(self):
+        with pytest.raises(InvalidParameterError):
+            masks_with_path(5, 0)
 
 
 def witness(H, t):
