@@ -261,20 +261,18 @@ def lemma_sweep(
     """Sweep sampled hosts and check the codegree machinery both ways.
 
     On hosts certified (t+1)-path-free with degree >= g_bound (and order
-    past the floor 2t+17), run the strong arm: every enumerated t-path
-    must satisfy all codegree bounds.  On all other hosts, run the
-    contrapositive arm: each overloaded configuration must be convertible
-    into a longer path or a cycle-plus witness.
+    past the floor 2t+17), run the strong arm: the host has no
+    (t+1)-cycle-plus, and every enumerated t-path must satisfy all
+    codegree bounds.  A cycle-plus found there fails the report and keeps
+    the host, serialized, among its witnesses.  On all other hosts, run
+    the contrapositive arm: each overloaded configuration must be
+    convertible into a longer path or a cycle-plus witness.
 
     family="star" (even t only) sweeps star(n, t//2) instead of random
     hosts, ignoring samples.  The star's longest path has exactly t edges
     and can be written down in closed form, so freeness is a construction
     guarantee and its t-paths are generated directly; exhaustive search is
     priced out at the orders where the star meets the degree bound.
-
-    The lemma also says such hosts have no (t+1)-cycle-plus.  The strong
-    arm does not check that yet: it waits for a cycle-plus search that
-    finishes at orders n >= 2t+17.
     """
     rng = random.Random(seed)
     report = VerificationReport(
@@ -301,6 +299,14 @@ def lemma_sweep(
                 free and t >= 3 and n >= 2 * t + 17
                 and H.min_degree() >= g_bound(n, t)
             )
+            if strong:
+                plus = oracle.find_cycle_plus(H, t + 1)
+                report.add(
+                    f"n={n} sample={j} no {t + 1}-cycle-plus", "absent",
+                    "absent" if plus is None else plus, plus is None,
+                )
+                if plus is not None:
+                    report.witnesses.append(serialize(H))
             for path in paths:
                 ctx = make_context(H, path)
                 if strong:

@@ -1,28 +1,32 @@
 """Exhaustive search for linear paths, cycles, and cycle-plus patterns.
 
 This module is the ground truth for everything else: searches are complete
-backtracking with pruning that provably preserves exhaustiveness (a dead
-partial state is memoized only as a function of its used-vertex set and
-its extension endpoint, which determine all possible continuations).
+backtracking with pruning that provably preserves exhaustiveness.
 Returned witnesses validate themselves before being handed out.
 
-Every search grows a vertex sequence one edge at a time at its last
-vertex, straight from the host's pair-link masks (``H.link``): the new
-middle vertex w1 runs over the unused vertices in increasing order, and
-the new endpoint w2 over the unused part of the link of (last, w1), also
-increasing.  Sequences are therefore expanded in lexicographic order, and
-each witness is the lexicographically least sequence the search accepts.
+One depth-first search serves paths, cycles and cycle-plus: a k-cycle, or
+a k-cycle-plus, less one edge is a linear (k-1)-path whose endpoints have
+one, or two, common neighbors off the path.  It grows a vertex sequence one
+edge at a time at its last vertex, straight from the host's pair-link masks
+(``H.link``): the new middle vertex w1 runs over the unused vertices in
+increasing order, and the new endpoint w2 over the unused part of the link
+of (last, w1), also increasing.  Sequences are therefore expanded in
+lexicographic order, and each witness is the lexicographically least
+sequence the search accepts.  A dead partial state is memoized by its
+used-vertex set and its endpoint, which determine all its continuations,
+and also by its start vertex when the endpoints must share neighbors.
 
-The path search also breaks symmetry between twins, vertices whose swap
-is an automorphism (the tails, and the heads, of the star constructions).
-At each step it tries a fresh vertex only if no smaller twin of it is
-unused: a path through the skipped vertex maps, by swapping the two, onto
-one with the same prefix that is lexicographically smaller, so the least
-witness survives and the dead-state memo stays exact.  Twin classes are
-computed lazily, at the first dead state, so searches that never backtrack
-pay nothing for them, and a search budget counts the states of the pruned
-search.  Twins have equal degree, so only such pairs are compared link by
-link.  Path enumeration and the cycle searches are not pruned.
+The search also breaks symmetry between twins, vertices whose swap is an
+automorphism (the tails, and the heads, of the star constructions).  At
+each step it tries a fresh vertex only if no smaller twin of it is unused:
+a path through the skipped vertex maps, by swapping the two, onto one with
+the same prefix that is lexicographically smaller and accepted alike, so
+the least witness survives and the dead-state memo stays exact.  Twin
+classes are computed lazily, at the first dead state, so searches that
+never backtrack pay nothing for them, and a search budget counts the
+states of the pruned search.  Twins have equal degree, so only such pairs
+are compared link by link.  :func:`iter_paths` is the one other loop: it
+must yield every path, so it keeps no memo and prunes no twin.
 """
 
 from __future__ import annotations
@@ -71,28 +75,30 @@ def _are_twins(H: Hypergraph, u: int, v: int) -> bool:
 
 
 def find_path(H: Hypergraph, t: int, budget: Optional[int] = None) -> Optional[LinearPath]:
-    """A linear t-path, or None only when no such path exists.
-
-    Depth-first from each start vertex in increasing order, over partial
-    paths extended one edge at a time at the right end; dead (used-set,
-    endpoint) states are memoized, which keeps the search complete while
-    collapsing the exponential blowup on dense hosts.  The witness is the
-    lexicographically least vertex sequence of a linear t-path.
-
-    Twin classes are tried through one representative.  At each step the
-    new middle vertex is skipped when one of its smaller twins is unused,
-    and the new endpoint when one of its smaller twins is unused and is
-    not that middle vertex; start vertices follow the same rule.  Swapping
-    a skipped vertex with that twin maps any completion onto a path with
-    the same prefix and a smaller vertex at this position, so no state is
-    wrongly declared dead and the least witness is never skipped.  The
-    twin classes are computed at the first dead state: a search that never
-    backtracks already meets the least witness first.  ``budget`` caps the
-    expanded states of this pruned search, start vertices included.
-    """
+    """A linear t-path, or None only when no such path exists: the
+    lexicographically least one, by the shared search with no closing
+    condition.  ``budget`` caps the expanded states of that pruned search,
+    start vertices included."""
     if t < 1:
         raise InvalidParameterError(f"path length t={t} must be >= 1")
-    if H.n < 2 * t + 1 or len(H.edges) < t:
+    hit = _search(H, t, 0, budget)
+    return None if hit is None else hit.validate(H)
+
+
+def _search(H: Hypergraph, t: int, close: int, budget: Optional[int]) -> Optional[LinearPath]:
+    """The lexicographically least linear t-path whose endpoints have at
+    least ``close`` common neighbors off the path (0 for a path, 1 for a
+    cycle, 2 for a cycle-plus), or None when there is none.
+
+    Depth-first from each start vertex in increasing order.  The new middle
+    vertex is skipped when one of its smaller twins is unused, and the new
+    endpoint when one of its smaller twins is unused and is not that middle
+    vertex; start vertices follow the same rule.  When ``close`` > 0 the
+    memo key holds the start vertex as bit n + start of the used set, which
+    no free set reaches.  ``budget`` caps the expanded states, start
+    vertices included; the test at length t is not a state.
+    """
+    if H.n < 2 * t + 1 + close or len(H.edges) < t + close:
         return None
     full = (1 << H.n) - 1
     dead = set()
@@ -102,6 +108,8 @@ def find_path(H: Hypergraph, t: int, budget: Optional[int] = None) -> Optional[L
     def dfs(seq, mask, s):
         nonlocal nodes
         if s == t:
+            if close and (H.link(seq[0], seq[-1]) & ~mask).bit_count() < close:
+                return None
             return seq
         last = seq[-1]
         key = (mask, last)
@@ -109,7 +117,8 @@ def find_path(H: Hypergraph, t: int, budget: Optional[int] = None) -> Optional[L
             return None
         nodes += 1
         if budget is not None and nodes > budget:
-            raise SearchExhaustedError(f"path search exceeded {budget} nodes")
+            kind = ("path", "cycle", "cycle-plus")[close]
+            raise SearchExhaustedError(f"{kind} search exceeded {budget} nodes")
         free = full & ~mask
         for w1 in mask_vertices(free):
             if below[w1] & free:
@@ -130,9 +139,10 @@ def find_path(H: Hypergraph, t: int, budget: Optional[int] = None) -> Optional[L
         for a in range(H.n):
             if below[a]:
                 continue
-            hit = dfs([a], 1 << a, 0)
+            start = (1 << a) | (1 << (H.n + a) if close else 0)
+            hit = dfs([a], start, 0)
             if hit is not None:
-                return LinearPath(tuple(hit)).validate(H)
+                return LinearPath(tuple(hit))
         return None
     finally:
         del dfs  # the closure refers to itself; free the memo now, not at gc
@@ -180,49 +190,21 @@ def longest_path(H: Hypergraph, cap: int, budget: Optional[int] = None):
 def find_cycle(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[LinearCycle]:
     """A linear k-cycle, or None on proven absence.
 
-    The cyclic sequence is anchored at its smallest connector vertex, which
-    loses no cycles (rotation symmetry) and prunes the rest; the witness is
-    the lexicographically least anchored sequence.  ``budget`` caps the
-    expanded states: each partial sequence of one or more edges, the
-    closing step included.
+    A k-cycle less one edge is a linear (k-1)-path whose endpoints have a
+    common neighbor off the path, so this is the shared search at length
+    k-1 asking for one such neighbor, closed through the least of them.
+    Rotating a cycle to start at its smallest connector makes its sequence
+    smaller, so the witness is the lexicographically least cyclic sequence
+    whose connectors z_2, z_4, .. all lie above z_0.  ``budget`` caps the
+    expanded states of the shared search, as in :func:`find_path`.
     """
     if k < 3:
         raise InvalidParameterError(f"cycle length k={k} must be >= 3")
-    if H.n < 2 * k or len(H.edges) < k:
+    path = _search(H, k - 1, 1, budget)
+    if path is None:
         return None
-    full = (1 << H.n) - 1
-    nodes = 0
-
-    def dfs(seq, mask, i):
-        nonlocal nodes
-        if i:  # the bare anchor is not a state
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise SearchExhaustedError(f"cycle search exceeded {budget} nodes")
-        z0 = seq[0]
-        if i == k - 1:
-            # close with {z_{2k-2}, z_{2k-1}, z0}, w the least fresh choice
-            closing = H.link(seq[-1], z0) & ~mask
-            if closing:
-                return seq + [least_vertex(closing)]
-            return None
-        free = full & ~mask
-        above = -2 << z0  # every bit above z0: connectors stay above the anchor
-        for w1 in mask_vertices(free):
-            for w2 in mask_vertices(H.link(seq[-1], w1) & free & above):
-                hit = dfs(seq + [w1, w2], mask | (1 << w1) | (1 << w2), i + 1)
-                if hit is not None:
-                    return hit
-        return None
-
-    try:
-        for z0 in range(H.n):
-            hit = dfs([z0], 1 << z0, 0)
-            if hit is not None:
-                return LinearCycle(tuple(hit)).validate(H)
-        return None
-    finally:
-        del dfs  # the closure refers to itself
+    ends = H.link(path.vertices[0], path.vertices[-1]) & ~path.vertex_mask()
+    return LinearCycle(path.vertices + (least_vertex(ends),)).validate(H)
 
 
 def find_cycle_plus(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[CyclePlusWitness]:
@@ -231,21 +213,16 @@ def find_cycle_plus(H: Hypergraph, k: int, budget: Optional[int] = None) -> Opti
     Canonical decomposition: the cycle minus the swappable edge is a linear
     (k-1)-path whose endpoint pair has two common neighbors outside the
     path; those supply the closing and parallel vertices.  Every C_k^+
-    contains such a decomposition, so scanning all (k-1)-paths is complete.
+    contains such a decomposition, so the shared search at length k-1,
+    asking for two such neighbors, is complete.  The witness is
+    :func:`closure_witness` of the lexicographically least such path.
+    ``budget`` caps the expanded states of the shared search, as in
+    :func:`find_path`.
     """
     if k < 3:
         raise InvalidParameterError(f"cycle length k={k} must be >= 3")
-    if H.n < 2 * k + 1:
-        return None
-    count = 0
-    for path in iter_paths(H, k - 1):
-        count += 1
-        if budget is not None and count > budget:
-            raise SearchExhaustedError(f"cycle-plus scan exceeded {budget} paths")
-        hit = closure_witness(H, path)
-        if hit is not None:
-            return hit
-    return None
+    path = _search(H, k - 1, 2, budget)
+    return None if path is None else closure_witness(H, path)
 
 
 def closure_witness(H: Hypergraph, P: LinearPath) -> Optional[CyclePlusWitness]:

@@ -2,21 +2,26 @@
 
 Deliberately share no code with the package's search: paths are found by
 trying every injective vertex sequence, degrees by scanning the raw edge
-list.  Only usable at tiny scale.  The one exception is
+list.  Only usable at tiny scale.  The exceptions are
 ``reference_exhaustive_check``, which keeps ``oracle.find_path`` as the
 decider and differs from the package only in how it walks the hosts: over
 ``reference_edge_masks``, a popcount per vertex and mask, each host built
-and searched.
+and searched; and the two cycle references at the end, the package's
+former cycle searches, kept to test the shared search that replaced them.
 """
 
 import math
 import random
 from itertools import combinations, permutations
 from math import comb
+from typing import Optional
 
 from linpath import oracle
-from linpath.errors import InvalidParameterError, OrderTooLargeError
-from linpath.hypergraph import Hypergraph, all_triples, build, mask_edges, serialize
+from linpath.errors import InvalidParameterError, OrderTooLargeError, SearchExhaustedError
+from linpath.hypergraph import (
+    Hypergraph, all_triples, build, least_vertex, mask_edges, mask_vertices, serialize,
+)
+from linpath.paths import CyclePlusWitness, LinearCycle
 from linpath.report import VerificationReport
 
 
@@ -283,3 +288,83 @@ def reference_exhaustive_check(n, delta, t):
     report.add("all_contain_path", total, passed, passed == total)
     report.witnesses.extend(counterexamples)
     return report
+
+# -- references for the cycle searches -------------------------------------
+#
+# ``oracle.find_cycle`` and ``oracle.find_cycle_plus`` as they were before
+# both became wrappers over the oracle's one memoised, twin-pruned search:
+# an anchored depth-first search with no memo, and a scan of every
+# (k-1)-path through ``oracle.iter_paths`` closed by
+# ``oracle.closure_witness``.  Their budgets count the anchored states and
+# the paths scanned.
+
+
+def reference_find_cycle(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[LinearCycle]:
+    """A linear k-cycle, or None on proven absence.
+
+    The cyclic sequence is anchored at its smallest connector vertex, which
+    loses no cycles (rotation symmetry) and prunes the rest; the witness is
+    the lexicographically least anchored sequence.  ``budget`` caps the
+    expanded states: each partial sequence of one or more edges, the
+    closing step included.
+    """
+    if k < 3:
+        raise InvalidParameterError(f"cycle length k={k} must be >= 3")
+    if H.n < 2 * k or len(H.edges) < k:
+        return None
+    full = (1 << H.n) - 1
+    nodes = 0
+
+    def dfs(seq, mask, i):
+        nonlocal nodes
+        if i:  # the bare anchor is not a state
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise SearchExhaustedError(f"cycle search exceeded {budget} nodes")
+        z0 = seq[0]
+        if i == k - 1:
+            # close with {z_{2k-2}, z_{2k-1}, z0}, w the least fresh choice
+            closing = H.link(seq[-1], z0) & ~mask
+            if closing:
+                return seq + [least_vertex(closing)]
+            return None
+        free = full & ~mask
+        above = -2 << z0  # every bit above z0: connectors stay above the anchor
+        for w1 in mask_vertices(free):
+            for w2 in mask_vertices(H.link(seq[-1], w1) & free & above):
+                hit = dfs(seq + [w1, w2], mask | (1 << w1) | (1 << w2), i + 1)
+                if hit is not None:
+                    return hit
+        return None
+
+    try:
+        for z0 in range(H.n):
+            hit = dfs([z0], 1 << z0, 0)
+            if hit is not None:
+                return LinearCycle(tuple(hit)).validate(H)
+        return None
+    finally:
+        del dfs  # the closure refers to itself
+
+
+def reference_find_cycle_plus(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[CyclePlusWitness]:
+    """A k-cycle with a parallel edge, or None on proven absence.
+
+    Canonical decomposition: the cycle minus the swappable edge is a linear
+    (k-1)-path whose endpoint pair has two common neighbors outside the
+    path; those supply the closing and parallel vertices.  Every C_k^+
+    contains such a decomposition, so scanning all (k-1)-paths is complete.
+    """
+    if k < 3:
+        raise InvalidParameterError(f"cycle length k={k} must be >= 3")
+    if H.n < 2 * k + 1:
+        return None
+    count = 0
+    for path in oracle.iter_paths(H, k - 1):
+        count += 1
+        if budget is not None and count > budget:
+            raise SearchExhaustedError(f"cycle-plus scan exceeded {budget} paths")
+        hit = oracle.closure_witness(H, path)
+        if hit is not None:
+            return hit
+    return None

@@ -107,7 +107,7 @@ class TestBudgetExhausted:
     @pytest.mark.parametrize("argv, reason", [
         (["oracle", "--path", "3"], "path search exceeded 2 nodes"),
         (["oracle", "--cycle", "3"], "cycle search exceeded 2 nodes"),
-        (["oracle", "--cycleplus", "5"], "cycle-plus scan exceeded 2 paths"),
+        (["oracle", "--cycleplus", "5"], "cycle-plus search exceeded 2 nodes"),
         (["oracle", "--longest", "5"], "path search exceeded 2 nodes"),
         (["find", "--length", "3", "--mode", "oracle"], "path search exceeded 2 nodes"),
     ], ids=["path", "cycle", "cycleplus", "longest", "find-oracle"])

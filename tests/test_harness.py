@@ -16,6 +16,7 @@ from linpath.harness import (
     verify_construction,
 )
 from linpath.hypergraph import Hypergraph, build, parse, serialize
+from linpath.paths import CyclePlusWitness, LinearPath
 
 from bruteforce import reference_exhaustive_check, reference_random_min_degree_graph
 
@@ -333,7 +334,22 @@ class TestLemmaSweep:
         report = lemma_sweep(range(25, 28), t=4, samples=1, seed=0, family="star")
         assert report.passed
         assert any("bounds" in c.name for c in report.checks)
-        assert len(report.checks) == 54  # the strong arm: bounds checks only
+        # the strong arm: one cycle-plus check per host, then bounds checks
+        assert len(report.checks) == 57
+        assert [c.name for c in report.checks if "cycle-plus" in c.name] == [
+            f"n={n} sample=0 no 5-cycle-plus" for n in (25, 26, 27)
+        ]
+
+    def test_strong_arm_reports_a_cycle_plus(self, monkeypatch):
+        # a cycle-plus on a strong-arm host contradicts the lemma: the check
+        # fails and the host is kept
+        w = CyclePlusWitness(LinearPath((0, 2, 1, 3, 4)), 5, 6)
+        monkeypatch.setattr(oracle, "find_cycle_plus", lambda H, k: w)
+        report = lemma_sweep(range(25, 26), t=4, samples=1, seed=0, family="star")
+        assert not report.passed
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["n=25 sample=0 no 5-cycle-plus"]
+        assert report.witnesses == [serialize(gen_star(3, 25, 2))]
 
     def test_random_family(self):
         report = lemma_sweep(

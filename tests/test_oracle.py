@@ -19,6 +19,7 @@ from linpath.oracle import (
     longest_path,
     masks_with_path,
 )
+from linpath.paths import CyclePlusWitness
 
 from bruteforce import (
     brute_force_cycle,
@@ -26,6 +27,8 @@ from bruteforce import (
     brute_force_paths,
     reference_edge_masks,
     reference_enumerate_hypergraphs,
+    reference_find_cycle,
+    reference_find_cycle_plus,
 )
 
 
@@ -319,18 +322,61 @@ class TestAgainstBruteForce:
                     cp and (cp.path.vertices, cp.closing, cp.parallel)) == want
 
 
+def cycle_witness(w):
+    """A find_cycle or find_cycle_plus result as plain tuples."""
+    if isinstance(w, CyclePlusWitness):
+        return w.path.vertices, w.closing, w.parallel
+    return w and w.vertices
+
+
+class TestAgainstReplacedCycleSearches:
+    """find_cycle and find_cycle_plus, both run by the shared path search,
+    against the anchored cycle search and the scan of every (k-1)-path they
+    replaced: the same witness, or None, on every host."""
+
+    def check(self, H):
+        for k in (3, 4, 5):
+            assert cycle_witness(find_cycle(H, k)) == cycle_witness(
+                reference_find_cycle(H, k)
+            )
+        for k in (3, 4):
+            assert cycle_witness(find_cycle_plus(H, k)) == cycle_witness(
+                reference_find_cycle_plus(H, k)
+            )
+
+    def test_seeded_random_hosts(self):
+        rng = random.Random(67)
+        for _ in range(120):
+            n = rng.randint(6, 10)
+            self.check(random_3graph(n, rng.uniform(0.05, 0.5), rng))
+
+    @pytest.mark.parametrize("gen", [gen_star, gen_star_plus, gen_core],
+                             ids=["star", "star_plus", "core"])
+    def test_constructions(self, gen):
+        for n in range(6, 14):
+            for k in (1, 2, 3):
+                if gen is not gen_star_plus or n - k >= 3:
+                    self.check(gen(3, n, k))
+
+
 # (host, search, length, least budget at which the search finishes) on
-# gen_star(3, 11, 2) and on seeded random hosts, frozen from the
-# extension-table search that the link-mask expansion replaced: any change
-# to the states a search expands moves one of these.
+# gen_star(3, 11, 2) and on seeded random hosts.  The find_path rows are
+# frozen from the extension-table search that the link-mask expansion
+# replaced; the cycle rows count the states of the shared search that
+# find_cycle and find_cycle_plus run at length k-1.  Any change to the
+# states a search expands moves one of these.
 FROZEN_BUDGETS = [
     ("star", find_path, 4, 11), ("star", find_path, 5, 12),
+    ("star", find_cycle_plus, 5, 16),
     (102, find_path, 3, 12), (102, find_path, 4, 22),
-    (102, find_cycle, 3, 5), (102, find_cycle, 4, 53),
+    (102, find_cycle, 3, 4), (102, find_cycle, 4, 112),
+    (102, find_cycle_plus, 3, 50),
     (104, find_path, 3, 5), (104, find_path, 4, 173),
-    (104, find_cycle, 3, 4), (104, find_cycle, 4, 23),
+    (104, find_cycle, 3, 2), (104, find_cycle, 4, 13),
+    (104, find_cycle_plus, 3, 21), (104, find_cycle_plus, 4, 283),
     (110, find_path, 3, 3), (110, find_path, 4, 4),
-    (110, find_cycle, 3, 38), (110, find_cycle, 4, 192),
+    (110, find_cycle, 3, 7), (110, find_cycle, 4, 30),
+    (110, find_cycle_plus, 3, 10), (110, find_cycle_plus, 4, 113),
 ]
 
 
