@@ -17,7 +17,6 @@ from .constructions import (
 from .errors import LinpathError
 from .finder import (
     PathContext,
-    check_lemma_bounds,
     extend,
     find_guaranteed,
     improve_via_codegree,
@@ -27,6 +26,7 @@ from .finder import (
 )
 from .harness import (
     ExperimentConfig,
+    check_lemma_bounds,
     exhaustive_check,
     lemma_sweep,
     random_min_degree_graph,

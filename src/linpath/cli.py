@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fnd = sub.add_parser("find", help="guaranteed path search")
     fnd.add_argument("--input", "-i", required=True)
     fnd.add_argument("--length", type=int, required=True)
-    fnd.add_argument("--mode", choices=["finder", "oracle"], default="finder")
     fnd.add_argument("--budget", type=int, default=None)
     fnd.add_argument("--trace", action="store_true")
 
@@ -124,13 +123,6 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_find(args) -> int:
     H = _read_graph(args.input)
-    if args.mode == "oracle":
-        hit = oracle.find_path(H, args.length, budget=args.budget)
-        if hit is None:
-            print("absent")
-            return 1
-        print(f"path: {_one_based(hit.vertices)}")
-        return 0
     on_move = None
     if args.trace:
         on_move = lambda kind, length, m: print(f"move: {kind} length={length} M={m}")

@@ -24,6 +24,10 @@ accepted path gets one context; a new path gets a new context rather than
 a patched one, because the index bookkeeping after a prefix reversal is
 error-prone.  Moves work at the left end; the right end is the same code
 run on ctx.reversed(), which needs no validation.
+
+This module holds only what find_guaranteed runs.  The lemma's codegree
+bounds, and the repairs that check them from the other side, live beside
+lemma_sweep in the harness.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .errors import (
 from .hypergraph import Hypergraph, least_vertex, mask_vertices
 from .oracle import closure_witness
 from .paths import CyclePlusWitness, LinearPath
-from .report import VerificationReport, ViolationReport
+from .report import ViolationReport
 
 
 @dataclass(frozen=True)
@@ -384,65 +388,3 @@ def find_guaranteed(
             ctx,
         )
 
-
-def check_lemma_bounds(
-    H: Hypergraph, ctx: PathContext, t_plus_one_free: bool
-) -> VerificationReport:
-    """Evaluate every codegree inequality the improvement moves rely on.
-
-    Under the preconditions (host is (t+1)-path-free with degree at least
-    g_bound(n,t)) all of them must hold; a violation under those
-    preconditions is a LemmaStepFailed-grade finding for the caller.
-    """
-    t = ctx.path.length
-    cap = H.n - 2 * t - 1
-    report = VerificationReport(
-        subject=f"path-bounds t={t}",
-        replay={"t_plus_one_free": t_plus_one_free, "path": list(ctx.path.vertices)},
-    )
-    d = ctx.d
-    report.add("endpoint_codegree", "<=1", d(0, 2 * t), d(0, 2 * t) <= 1)
-    for k in range(t):
-        i, j = d(0, 2 * k + 1), d(2 * k + 1, 2 * t)
-        if i > 0 and j > 0:
-            report.add(f"odd_crossing k={k}", "<=2", i + j, i + j <= 2)
-        i2, j2 = d(0, 2 * k + 2), d(2 * k, 2 * t)
-        if i2 > 0 and j2 > 0:
-            report.add(f"even_crossing k={k}", "<=4", i2 + j2, i2 + j2 <= 4)
-        for endpoint, tag in ((0, "left"), (2 * t, "right")):
-            a, b = d(2 * k, 2 * k + 2), d(endpoint, 2 * k + 1)
-            if a > 0 and b > 0:
-                report.add(
-                    f"connector_vs_odd k={k} end={tag}", "<=2", a + b, a + b <= 2
-                )
-        report.add(f"odd_sum_cap k={k}", f"<={cap}", i + j, i + j <= cap)
-        report.add(f"even_sum_cap k={k}", f"<={cap}", i2 + j2, i2 + j2 <= cap)
-    return report
-
-
-def crossing_cycle_plus(
-    H: Hypergraph, ctx: PathContext, k: int
-) -> Optional[CyclePlusWitness]:
-    """The cycle-plus built from an even-crossing overload.
-
-    When d_P(0,2k+2) >= 3 and d_P(2t,2k) >= 1 (or the mirror), reroute the
-    path through the endpoint-crossing witness z; the two remaining
-    witnesses y1, y2 close it into a (t+1)-cycle with a parallel edge.
-    """
-    t = ctx.path.length
-    # the mirror is the same move on the reversed path at t-1-k
-    for end, kk in ((ctx, k), (ctx.reversed(), t - 1 - k)):
-        seq = end.path.vertices
-        ys = end.outside_set(0, 2 * kk + 2)
-        zs = end.outside_set(2 * kk, 2 * t)
-        if len(ys) < 3 or not zs:
-            continue
-        z = zs[0]
-        y_pair = [y for y in ys if y != z][:2]
-        if len(y_pair) < 2:
-            continue
-        # (x_0..x_{2k}, z, x_{2t}..x_{2k+2}) closed by {x_{2k+2}, y, x_0}
-        body = seq[: 2 * kk + 1] + (z,) + tuple(reversed(seq[2 * kk + 2 :]))
-        path = LinearPath(body).validate(H)
-        return CyclePlusWitness(path, y_pair[0], y_pair[1]).validate(H)
-    return None

@@ -107,14 +107,8 @@ class CyclePlusWitness:
     def validate(self, H: Hypergraph) -> "CyclePlusWitness":
         self.path.validate(H)
         v = self.path.vertices
-        all_v = set(v) | {self.closing, self.parallel}
-        if len(all_v) != len(v) + 2:
-            raise InvalidPathError("closing/parallel vertices collide with path")
-        for x in (self.closing, self.parallel):
-            if not 0 <= x < H.n:
-                raise InvalidPathError(f"vertex {x} outside host graph")
-        if not H.has_edge((v[-1], self.closing, v[0])):
-            raise InvalidPathError("closing triple is not an edge")
-        if not H.has_edge((v[-1], self.parallel, v[0])):
-            raise InvalidPathError("parallel triple is not an edge")
+        _check_on_host(
+            H, self.cycle_vertices() + (self.parallel,),
+            [(v[-1], x, v[0]) for x in (self.closing, self.parallel)],
+        )
         return self

@@ -16,16 +16,11 @@ class Check:
 
 @dataclass
 class VerificationReport:
-    """Self-contained evidence for one verification subject.
-
-    `replay` carries whatever is needed to regenerate the observations
-    (generator kind, parameters, seed).
-    """
+    """Self-contained evidence for one verification subject."""
 
     subject: str
     checks: List[Check] = field(default_factory=list)
     witnesses: List[str] = field(default_factory=list)
-    replay: dict = field(default_factory=dict)
 
     def add(self, name: str, expected, observed, passed: bool) -> None:
         self.checks.append(Check(name, str(expected), str(observed), passed))

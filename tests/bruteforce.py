@@ -280,10 +280,7 @@ def reference_exhaustive_check(n, delta, t):
             passed += 1
         elif len(counterexamples) < 5:
             counterexamples.append(serialize(H))
-    report = VerificationReport(
-        subject=f"exhaustive n={n} delta>={delta} t={t}",
-        replay={"n": n, "delta": delta, "t": t},
-    )
+    report = VerificationReport(subject=f"exhaustive n={n} delta>={delta} t={t}")
     report.add("graphs_checked", ">=1", total, total >= 1)
     report.add("all_contain_path", total, passed, passed == total)
     report.witnesses.extend(counterexamples)

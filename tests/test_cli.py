@@ -109,8 +109,7 @@ class TestBudgetExhausted:
         (["oracle", "--cycle", "3"], "cycle search exceeded 2 nodes"),
         (["oracle", "--cycleplus", "5"], "cycle-plus search exceeded 2 nodes"),
         (["oracle", "--longest", "5"], "path search exceeded 2 nodes"),
-        (["find", "--length", "3", "--mode", "oracle"], "path search exceeded 2 nodes"),
-    ], ids=["path", "cycle", "cycleplus", "longest", "find-oracle"])
+    ], ids=["path", "cycle", "cycleplus", "longest"])
     def test_unknown_exit_3(self, capsys, tmp_path, argv, reason):
         f = tmp_path / "star11.h3"
         f.write_text(serialize(gen_star(3, 11, 2)))
@@ -157,13 +156,6 @@ class TestFind:
         code, out, _ = run_cli(capsys, "find", "-i", star8, "--length", "3")
         assert code == 1
         assert out.startswith("absent: HypothesisUnmet")
-
-    def test_oracle_mode(self, capsys, star8):
-        code, out, _ = run_cli(
-            capsys, "find", "-i", star8, "--length", "2", "--mode", "oracle"
-        )
-        assert code == 0
-        assert out == "path: 2 3 1 4 5\n"
 
 
 class TestPinnedOutput:

@@ -9,9 +9,7 @@ from linpath import finder
 from linpath.constructions import gen_complete, gen_star, gen_star_plus, theorem_threshold
 from linpath.errors import InvalidPathError, LinpathError
 from linpath.finder import (
-    check_lemma_bounds,
     closure_witness,
-    crossing_cycle_plus,
     extend,
     find_guaranteed,
     improve_via_codegree,
@@ -19,7 +17,7 @@ from linpath.finder import (
     rotate,
     unfold_cycle_plus,
 )
-from linpath.harness import random_min_degree_graph
+from linpath.harness import check_lemma_bounds, crossing_cycle_plus, random_min_degree_graph
 from linpath.hypergraph import Hypergraph, all_triples, build
 from linpath.oracle import find_cycle_plus, find_path, iter_paths
 from linpath.paths import CyclePlusWitness, LinearPath
@@ -197,10 +195,33 @@ class TestUnfold:
         assert checked >= 10
 
 
+class TestCyclePlusWitnessValidate:
+    # the cycle 0 1 2 3 4 closed by 5, with parallel vertex 6; 7 is isolated
+    P = LinearPath((0, 1, 2, 3, 4))
+    H = build(3, 8, P.edges() + [(0, 4, 5), (0, 4, 6)])
+
+    def test_valid(self):
+        w = CyclePlusWitness(self.P, 5, 6)
+        assert w.validate(self.H) is w
+
+    @pytest.mark.parametrize("path, closing, parallel", [
+        ((0, 1, 2, 3, 4), 2, 6),
+        ((0, 1, 2, 3, 4), 5, 5),
+        ((0, 1, 2, 3, 4), 5, 8),
+        ((0, 1, 2, 3, 4), 7, 6),
+        ((0, 1, 2, 3, 4), 5, 7),
+        ((0, 1, 2, 3, 7), 5, 6),
+    ], ids=["closing-on-path", "parallel-is-closing", "out-of-range",
+            "closing-not-edge", "parallel-not-edge", "broken-path"])
+    def test_invalid(self, path, closing, parallel):
+        with pytest.raises(InvalidPathError):
+            CyclePlusWitness(LinearPath(path), closing, parallel).validate(self.H)
+
+
 class TestCheckLemmaBounds:
     def test_bare_path_all_hold(self):
         H, P = bare_path_graph(3)
-        report = check_lemma_bounds(H, make_context(H, P), True)
+        report = check_lemma_bounds(H, make_context(H, P))
         assert report.passed
 
     def test_star_paths_pass(self):
@@ -208,12 +229,12 @@ class TestCheckLemmaBounds:
         H = gen_star(3, 9, 1)
         assert find_path(H, 3) is None
         for p in iter_paths(H, 2):
-            assert check_lemma_bounds(H, make_context(H, p), True).passed
+            assert check_lemma_bounds(H, make_context(H, p)).passed
 
     def test_violation_pairs_with_improvement(self):
         H = build(3, 7, [(0, 1, 2), (2, 3, 4), (0, 1, 5), (0, 1, 6), (1, 4, 6)])
         ctx = make_context(H, LinearPath((0, 1, 2, 3, 4)))
-        report = check_lemma_bounds(H, ctx, False)
+        report = check_lemma_bounds(H, ctx)
         violated = [c.name for c in report.checks if not c.passed]
         assert any(name.startswith("odd_crossing") for name in violated)
         assert improve_via_codegree(H, ctx) is not None

@@ -340,6 +340,19 @@ class TestLemmaSweep:
             f"n={n} sample=0 no 5-cycle-plus" for n in (25, 26, 27)
         ]
 
+    @pytest.mark.parametrize("n_range, t, checks, plus", [
+        (range(54, 58), 6, 164, 4),
+        (range(96, 98), 8, 82, 2),
+        # below (13k^2 - 7k + 12)/2 = 54 for k = 3, star(n, 3) is under
+        # g_bound(n, 6), so no host reaches the strong arm
+        (range(29, 35), 6, 0, 0),
+    ], ids=["t6", "t8", "t6-below-bound"])
+    def test_star_family_longer_paths(self, n_range, t, checks, plus):
+        report = lemma_sweep(n_range, t=t, samples=1, seed=0, family="star")
+        assert report.passed
+        assert len(report.checks) == checks
+        assert sum("cycle-plus" in c.name for c in report.checks) == plus
+
     def test_strong_arm_reports_a_cycle_plus(self, monkeypatch):
         # a cycle-plus on a strong-arm host contradicts the lemma: the check
         # fails and the host is kept
