@@ -16,11 +16,9 @@ from .constructions import (
 )
 from .errors import LinpathError
 from .finder import (
-    PathContext,
     extend,
     find_guaranteed,
     improve_via_codegree,
-    make_context,
     rotate,
     unfold_cycle_plus,
 )
@@ -41,7 +39,7 @@ from .oracle import (
     find_path,
     longest_path,
 )
-from .paths import CyclePlusWitness, LinearCycle, LinearPath
+from .paths import CyclePlusWitness, LinearCycle, LinearPath, PathContext, make_context
 from .report import VerificationReport, ViolationReport
 
 __all__ = [

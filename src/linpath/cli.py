@@ -89,30 +89,24 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# oracle option -> (search, line printed for its witness)
+_ORACLE_SEARCHES = {
+    "path": (oracle.find_path, lambda hit: f"path: {_one_based(hit.vertices)}"),
+    "cycle": (oracle.find_cycle, lambda hit: f"cycle: {_one_based(hit.vertices)}"),
+    "cycleplus": (oracle.find_cycle_plus, lambda hit: (
+        f"cycleplus: {_one_based(hit.path.vertices)} "
+        f"closing {hit.closing + 1} parallel {hit.parallel + 1}")),
+}
+
+
 def _cmd_oracle(args) -> int:
     H = _read_graph(args.input)
-    if args.path is not None:
-        hit = oracle.find_path(H, args.path, budget=args.budget)
-        if hit is None:
-            print("absent")
-            return 1
-        print(f"path: {_one_based(hit.vertices)}")
-        return 0
-    if args.cycle is not None:
-        hit = oracle.find_cycle(H, args.cycle, budget=args.budget)
-        if hit is None:
-            print("absent")
-            return 1
-        print(f"cycle: {_one_based(hit.vertices)}")
-        return 0
-    if args.cycleplus is not None:
-        hit = oracle.find_cycle_plus(H, args.cycleplus, budget=args.budget)
-        if hit is None:
-            print("absent")
-            return 1
-        print(f"cycleplus: {_one_based(hit.path.vertices)} "
-              f"closing {hit.closing + 1} parallel {hit.parallel + 1}")
-        return 0
+    for option, (search, line) in _ORACLE_SEARCHES.items():
+        size = getattr(args, option)
+        if size is not None:
+            hit = search(H, size, budget=args.budget)
+            print("absent" if hit is None else line(hit))
+            return 1 if hit is None else 0
     length, hit = oracle.longest_path(H, args.longest, budget=args.budget)
     print(f"longest: {length}")
     if hit is None:

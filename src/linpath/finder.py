@@ -18,12 +18,13 @@ always applies until the target length is reached; when the threshold is
 met and no move applies, the run reports LemmaStepFailed rather than
 guessing, because that outcome would witness a bug.
 
-Every move reads a PathContext and returns the new path's context (or
-None).  make_context is the one place a path is validated, so each
-accepted path gets one context; a new path gets a new context rather than
-a patched one, because the index bookkeeping after a prefix reversal is
-error-prone.  Moves work at the left end; the right end is the same code
-run on ctx.reversed(), which needs no validation.
+Every move takes a PathContext (paths.make_context) alone, reads its host
+from it, and returns the new path's context (or None).  make_context is
+the one place a path is validated, so each accepted path gets one context;
+a new path gets a new context rather than a patched one, because the index
+bookkeeping after a prefix reversal is error-prone.  Moves work at the
+left end; the right end is the same code run on ctx.reversed(), which
+needs no validation.
 
 This module holds only what find_guaranteed runs.  The lemma's codegree
 bounds, and the repairs that check them from the other side, live beside
@@ -32,8 +33,6 @@ lemma_sweep in the harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Union
 
 from . import oracle
@@ -47,78 +46,16 @@ from .errors import (
 )
 from .hypergraph import Hypergraph, least_vertex, mask_vertices
 from .oracle import closure_witness
-from .paths import CyclePlusWitness, LinearPath
+from .paths import CyclePlusWitness, LinearPath, PathContext, make_context
 from .report import ViolationReport
 
 
-@dataclass(frozen=True)
-class PathContext:
-    """A validated path on its host (make_context builds it).
-
-    free masks the vertices off the path; outside_mask(a, b) reads the
-    common neighbors of x_a, x_b outside the path from the host's pair
-    links, d counts them and outside_set decodes them.  M and T partition
-    [0, s-1]; N_left / N_right are the endpoint refinement sets; all four
-    are derived from d when first read.  Their disjointness follows from
-    the theorem's hypotheses, so callers report it; it is never asserted.
-    """
-
-    path: LinearPath
-    host: Hypergraph
-    free: int
-
-    def reversed(self) -> "PathContext":
-        """The context of the reversed path.  A linear path read backwards
-        is a linear path on the same vertices, so nothing is validated."""
-        return PathContext(self.path.reversed(), self.host, self.free)
-
-    def outside_mask(self, a: int, b: int) -> int:
-        x = self.path.vertices
-        return self.host.link(x[a], x[b]) & self.free
-
-    def outside_set(self, a: int, b: int) -> tuple:
-        """The outside common neighbors of x_a and x_b, ascending."""
-        return mask_vertices(self.outside_mask(a, b))
-
-    def d(self, a: int, b: int) -> int:
-        """d_P(a,b): outside codegree of path positions a and b."""
-        return self.outside_mask(a, b).bit_count()
-
-    @cached_property
-    def M(self) -> frozenset:
-        d = self.d
-        return frozenset(i for i in range(self.path.length) if d(2 * i, 2 * i + 2) >= 2)
-
-    @cached_property
-    def T(self) -> frozenset:
-        return frozenset(range(self.path.length)) - self.M
-
-    @cached_property
-    def N_left(self) -> frozenset:
-        d = self.d
-        return frozenset({i for i in self.M if d(0, 2 * i + 2) >= 3}
-                         | {i for i in self.T if d(0, 2 * i + 1) >= 2})
-
-    @cached_property
-    def N_right(self) -> frozenset:
-        """N_left of the reversed path, its indices mirrored."""
-        s = self.path.length
-        return frozenset(s - 1 - i for i in self.reversed().N_left)
-
-
-def make_context(H: Hypergraph, P: LinearPath) -> PathContext:
-    """P's context on H; raises InvalidPathError unless P is a linear path
-    of H."""
-    P.validate(H)
-    return PathContext(P, H, ((1 << H.n) - 1) & ~P.vertex_mask())
-
-
-def extend(H: Hypergraph, ctx: PathContext) -> Optional[PathContext]:
+def extend(ctx: PathContext) -> Optional[PathContext]:
     """Append an edge with two fresh vertices at the right endpoint, or at
     the left one (via reversal); the lexicographically least fresh pair
     wins.  Returns the longer path's context, or None when every edge at
     both endpoints re-enters the path."""
-    free = ctx.free
+    H, free = ctx.host, ctx.free
     for seq in (ctx.path.vertices, ctx.path.reversed().vertices):
         last = seq[-1]
         for w1 in mask_vertices(free):
@@ -128,7 +65,7 @@ def extend(H: Hypergraph, ctx: PathContext) -> Optional[PathContext]:
     return None
 
 
-def rotate(H: Hypergraph, ctx: PathContext) -> Optional[PathContext]:
+def rotate(ctx: PathContext) -> Optional[PathContext]:
     """Reverse a prefix through an outside vertex, growing the M-set.
 
     Works at x_0; rotate ctx.reversed() for the right end.  Fires on the
@@ -156,7 +93,7 @@ def rotate(H: Hypergraph, ctx: PathContext) -> Optional[PathContext]:
             )
         v = least_vertex(candidates)
         new_seq = tuple(reversed(x[: 2 * kp + 1])) + (v,) + x[2 * kp + 2 :]
-        new_ctx = _checked(H, new_seq, ctx.path.length,
+        new_ctx = _checked(ctx.host, new_seq, ctx.path.length,
                            RotationPostconditionError, "rotated")
         expected_vset = (set(x) - {x[2 * kp + 1]}) | {v}
         if set(new_seq) != expected_vset:
@@ -206,7 +143,7 @@ def _distinct_pair(first: int, second: int):
     return None
 
 
-def improve_via_codegree(H: Hypergraph, ctx: PathContext) -> Optional[PathContext]:
+def improve_via_codegree(ctx: PathContext) -> Optional[PathContext]:
     """Splice the path into one longer through two outside witnesses.
 
     Two configurations are scanned, in order and each by increasing k:
@@ -223,7 +160,7 @@ def improve_via_codegree(H: Hypergraph, ctx: PathContext) -> Optional[PathContex
     t = ctx.path.length
 
     def finish(seq: tuple) -> PathContext:
-        return _checked(H, seq, t + 1, SplicePostconditionError, "spliced")
+        return _checked(ctx.host, seq, t + 1, SplicePostconditionError, "spliced")
 
     for k in range(t):
         pick = _distinct_pair(
@@ -347,11 +284,11 @@ def find_guaranteed(
                 ctx,
             )
         try:
-            longer = extend(H, ctx)
+            longer = extend(ctx)
             if longer is not None:
                 ctx = accept("extend", longer)
                 continue
-            longer = improve_via_codegree(H, ctx)
+            longer = improve_via_codegree(ctx)
             if longer is not None:
                 ctx = accept("splice", longer)
                 continue
@@ -360,13 +297,13 @@ def find_guaranteed(
                 ends = ends[::-1]
             rotated = None
             for end in ends:
-                rotated = rotate(H, end)
+                rotated = rotate(end)
                 if rotated is not None:
                     break
             if rotated is not None:
                 ctx = accept("rotate", rotated)
                 continue
-            witness = closure_witness(H, path)
+            witness = closure_witness(ctx)
             if witness is not None:
                 longer = unfold_cycle_plus(H, witness)
                 if longer is not None:

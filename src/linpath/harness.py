@@ -30,9 +30,9 @@ from .constructions import (
     theorem_threshold,
 )
 from .errors import InfeasibleDegreeError, InvalidParameterError
-from .finder import PathContext, find_guaranteed, improve_via_codegree, make_context
+from .finder import find_guaranteed, improve_via_codegree
 from .hypergraph import Hypergraph, all_triples, mask_edges, serialize
-from .paths import CyclePlusWitness, LinearPath
+from .paths import CyclePlusWitness, LinearPath, PathContext, make_context
 from .report import VerificationReport
 
 CSV_COLUMNS = (
@@ -119,18 +119,16 @@ def random_min_degree_graph(n: int, delta: int, seed: int) -> Hypergraph:
     return Hypergraph(n, tuple(sorted(chosen)))
 
 
-def verify_construction(
-    kind: str, r: int, n: int, k: int, hypergraph: Optional[Hypergraph] = None
-) -> VerificationReport:
+def verify_construction(kind: str, r: int, n: int, k: int) -> VerificationReport:
     """Certify a star or star-plus instance: exact minimum degree, the
     promised path present, the next length provably absent (oracle)."""
     if kind == "star":
-        H = hypergraph if hypergraph is not None else gen_star(r, n, k)
+        H = gen_star(r, n, k)
         expected_delta = star_min_degree(n, k)
         free_len, present_len = 2 * k + 1, 2 * k
         present_needs = n >= 4 * k + 1
     elif kind == "star_plus":
-        H = hypergraph if hypergraph is not None else gen_star_plus(r, n, k)
+        H = gen_star_plus(r, n, k)
         expected_delta = star_plus_min_degree(n, k)
         free_len, present_len = 2 * k + 2, 2 * k + 1
         present_needs = n >= 4 * k + 3
@@ -297,13 +295,13 @@ def lemma_sweep(
             for path in paths:
                 ctx = make_context(H, path)
                 if strong:
-                    sub = check_lemma_bounds(H, ctx).passed
+                    sub = check_lemma_bounds(ctx).passed
                     report.add(
                         f"n={n} sample={j} bounds {path.vertices}", "all hold",
                         "all hold" if sub else "violated", sub,
                     )
                 else:
-                    _contrapositive_checks(H, ctx, report, f"n={n} sample={j}")
+                    _contrapositive_checks(ctx, report, f"n={n} sample={j}")
     return report
 
 
@@ -324,22 +322,26 @@ def _star_sample_paths(n: int, k: int, count: int):
         yield LinearPath(seq)
 
 
-def _codegree_rows(H: Hypergraph, ctx: PathContext):
+def _codegree_rows(ctx: PathContext):
     """One (name, value, bound, repair) row per codegree configuration of
     ctx's path, in the order both arms report them.
 
     On a (t+1)-path-free host with degree at least g_bound(n, t), every
     value stays within its bound.  An overloaded row with a repair is
     turned by it into a longer path's context or a (t+1)-cycle-plus; a
-    repair returns None when it fails.  Rows without a repair are checked
-    by the strong arm only.
+    repair returns None when it fails.  The two sum caps carry no repair
+    of their own.  Each side of a sum counts vertices off the path, so it
+    is at most cap; an overloaded sum therefore has both sides positive.
+    With cap >= 2 an odd_sum_cap overload is then an odd_crossing overload,
+    and with cap >= 4 an even_sum_cap overload an even_crossing one, and
+    those rows are repaired.  With a smaller cap nothing is claimed.
     """
     t = ctx.path.length
-    cap = H.n - 2 * t - 1
+    cap = ctx.host.n - 2 * t - 1
     d = ctx.d
     # the splice depends only on ctx: run it at the first overload, once
-    splice = cache(lambda: improve_via_codegree(H, ctx))
-    yield "endpoint_codegree", d(0, 2 * t), 1, None
+    splice = cache(lambda: improve_via_codegree(ctx))
+    yield "endpoint_codegree", d(0, 2 * t), 1, lambda: oracle.closure_witness(ctx)
     for k in range(t):
         i, j = d(0, 2 * k + 1), d(2 * k + 1, 2 * t)
         if i > 0 and j > 0:
@@ -353,12 +355,12 @@ def _codegree_rows(H: Hypergraph, ctx: PathContext):
             # both sides are positive, so an overload (sum >= 5) has its
             # larger side >= 3, as crossing_cycle_plus needs
             yield (f"even_crossing k={k}", i2 + j2, 4,
-                   lambda k=k: crossing_cycle_plus(H, ctx, k))
+                   lambda k=k: crossing_cycle_plus(ctx, k))
         yield f"odd_sum_cap k={k}", i + j, cap, None
         yield f"even_sum_cap k={k}", i2 + j2, cap, None
 
 
-def check_lemma_bounds(H: Hypergraph, ctx: PathContext) -> VerificationReport:
+def check_lemma_bounds(ctx: PathContext) -> VerificationReport:
     """Evaluate every codegree inequality the improvement moves rely on.
 
     Under the preconditions (host is (t+1)-path-free with degree at least
@@ -366,25 +368,21 @@ def check_lemma_bounds(H: Hypergraph, ctx: PathContext) -> VerificationReport:
     preconditions is a LemmaStepFailed-grade finding for the caller.
     """
     report = VerificationReport(subject=f"path-bounds t={ctx.path.length}")
-    for name, value, bound, _repair in _codegree_rows(H, ctx):
+    for name, value, bound, _repair in _codegree_rows(ctx):
         report.add(name, f"<={bound}", value, value <= bound)
     return report
 
 
-def _contrapositive_checks(
-    H: Hypergraph, ctx: PathContext, report: VerificationReport, tag: str
-) -> None:
+def _contrapositive_checks(ctx: PathContext, report: VerificationReport, tag: str) -> None:
     """Each overloaded configuration that has a repair must be repaired."""
-    for name, value, bound, repair in _codegree_rows(H, ctx):
+    for name, value, bound, repair in _codegree_rows(ctx):
         if repair is not None and value > bound:
             hit = repair()
             report.add(f"{tag} {name} repaired", "present",
                        "present" if hit is not None else "absent", hit is not None)
 
 
-def crossing_cycle_plus(
-    H: Hypergraph, ctx: PathContext, k: int
-) -> Optional[CyclePlusWitness]:
+def crossing_cycle_plus(ctx: PathContext, k: int) -> Optional[CyclePlusWitness]:
     """The cycle-plus built from an even-crossing overload.
 
     When d_P(0,2k+2) >= 3 and d_P(2t,2k) >= 1 (or the mirror), reroute the
@@ -405,5 +403,5 @@ def crossing_cycle_plus(
             continue
         # (x_0..x_{2k}, z, x_{2t}..x_{2k+2}) closed by {x_{2k+2}, y, x_0}
         body = seq[: 2 * kk + 1] + (z,) + tuple(reversed(seq[2 * kk + 2 :]))
-        return CyclePlusWitness(LinearPath(body), y_pair[0], y_pair[1]).validate(H)
+        return CyclePlusWitness(LinearPath(body), y_pair[0], y_pair[1]).validate(ctx.host)
     return None

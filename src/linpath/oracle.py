@@ -15,6 +15,8 @@ lexicographic order, and each witness is the lexicographically least
 sequence the search accepts.  A dead partial state is memoized by its
 used-vertex set and its endpoint, which determine all its continuations,
 and also by its start vertex when the endpoints must share neighbors.
+Its test on partial sequences reads the host's links inline; the path it
+returns is closed through its paths.PathContext.
 
 The search also breaks symmetry between twins, vertices whose swap is an
 automorphism (the tails, and the heads, of the star constructions).  At
@@ -37,7 +39,7 @@ from typing import Iterator, Optional
 
 from .errors import InvalidParameterError, OrderTooLargeError, SearchExhaustedError
 from .hypergraph import Hypergraph, all_triples, least_vertex, mask_edges, mask_vertices
-from .paths import CyclePlusWitness, LinearCycle, LinearPath
+from .paths import CyclePlusWitness, LinearCycle, LinearPath, PathContext, make_context
 
 
 def _twins_below(H: Hypergraph):
@@ -203,7 +205,7 @@ def find_cycle(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[
     path = _search(H, k - 1, 1, budget)
     if path is None:
         return None
-    ends = H.link(path.vertices[0], path.vertices[-1]) & ~path.vertex_mask()
+    ends = make_context(H, path).outside_mask(0, 2 * k - 2)
     return LinearCycle(path.vertices + (least_vertex(ends),)).validate(H)
 
 
@@ -222,18 +224,16 @@ def find_cycle_plus(H: Hypergraph, k: int, budget: Optional[int] = None) -> Opti
     if k < 3:
         raise InvalidParameterError(f"cycle length k={k} must be >= 3")
     path = _search(H, k - 1, 2, budget)
-    return None if path is None else closure_witness(H, path)
+    return None if path is None else closure_witness(make_context(H, path))
 
 
-def closure_witness(H: Hypergraph, P: LinearPath) -> Optional[CyclePlusWitness]:
-    """The cheap cycle-plus closure of P: the two least common neighbors of
-    its endpoints outside the path, if they exist."""
-    outside = mask_vertices(
-        H.link(P.vertices[0], P.vertices[-1]) & ~P.vertex_mask()
-    )
+def closure_witness(ctx: PathContext) -> Optional[CyclePlusWitness]:
+    """The cheap cycle-plus closure of ctx's path: the two least common
+    neighbors of its endpoints outside the path, if they exist."""
+    outside = ctx.outside_set(0, 2 * ctx.path.length)
     if len(outside) < 2:
         return None
-    return CyclePlusWitness(P, outside[0], outside[1]).validate(H)
+    return CyclePlusWitness(ctx.path, outside[0], outside[1]).validate(ctx.host)
 
 
 @lru_cache(maxsize=1)

@@ -5,14 +5,20 @@ x_0, x_1, ..., x_{2t}: the edges are the t consecutive triples
 {x_{2i}, x_{2i+1}, x_{2i+2}}.  A linear k-cycle is the cyclic analogue on
 2k vertices.  Every witness can validate itself against its host graph;
 search and finder code asserts validity on every return.
+
+A PathContext is a validated path on its host, built by make_context.  It
+is the one handle the finder's moves, the lemma's codegree checks and the
+cycle-plus closure take, and its outside_mask is the one place a path's
+outside common neighbourhoods are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidPathError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, mask_vertices
 
 
 def _check_on_host(H: Hypergraph, vertices: tuple, edges) -> None:
@@ -62,6 +68,68 @@ class LinearPath:
             raise InvalidPathError(f"sequence of {len(v)} vertices is not 2t+1")
         _check_on_host(H, v, self.edges())
         return self
+
+
+@dataclass(frozen=True)
+class PathContext:
+    """A validated path on its host (make_context builds it).
+
+    free masks the vertices off the path; outside_mask(a, b) reads the
+    common neighbors of x_a, x_b outside the path from the host's pair
+    links, d counts them and outside_set decodes them.  M and T partition
+    [0, s-1]; N_left / N_right are the endpoint refinement sets; all four
+    are derived from d when first read.  Their disjointness follows from
+    the theorem's hypotheses, so callers report it; it is never asserted.
+    """
+
+    path: LinearPath
+    host: Hypergraph
+    free: int
+
+    def reversed(self) -> "PathContext":
+        """The context of the reversed path.  A linear path read backwards
+        is a linear path on the same vertices, so nothing is validated."""
+        return PathContext(self.path.reversed(), self.host, self.free)
+
+    def outside_mask(self, a: int, b: int) -> int:
+        x = self.path.vertices
+        return self.host.link(x[a], x[b]) & self.free
+
+    def outside_set(self, a: int, b: int) -> tuple:
+        """The outside common neighbors of x_a and x_b, ascending."""
+        return mask_vertices(self.outside_mask(a, b))
+
+    def d(self, a: int, b: int) -> int:
+        """d_P(a,b): outside codegree of path positions a and b."""
+        return self.outside_mask(a, b).bit_count()
+
+    @cached_property
+    def M(self) -> frozenset:
+        d = self.d
+        return frozenset(i for i in range(self.path.length) if d(2 * i, 2 * i + 2) >= 2)
+
+    @cached_property
+    def T(self) -> frozenset:
+        return frozenset(range(self.path.length)) - self.M
+
+    @cached_property
+    def N_left(self) -> frozenset:
+        d = self.d
+        return frozenset({i for i in self.M if d(0, 2 * i + 2) >= 3}
+                         | {i for i in self.T if d(0, 2 * i + 1) >= 2})
+
+    @cached_property
+    def N_right(self) -> frozenset:
+        """N_left of the reversed path, its indices mirrored."""
+        s = self.path.length
+        return frozenset(s - 1 - i for i in self.reversed().N_left)
+
+
+def make_context(H: Hypergraph, P: LinearPath) -> PathContext:
+    """P's context on H; raises InvalidPathError unless P is a linear path
+    of H."""
+    P.validate(H)
+    return PathContext(P, H, ((1 << H.n) - 1) & ~P.vertex_mask())
 
 
 @dataclass(frozen=True)

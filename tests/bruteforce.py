@@ -21,7 +21,7 @@ from linpath.errors import InvalidParameterError, OrderTooLargeError, SearchExha
 from linpath.hypergraph import (
     Hypergraph, all_triples, build, least_vertex, mask_edges, mask_vertices, serialize,
 )
-from linpath.paths import CyclePlusWitness, LinearCycle
+from linpath.paths import CyclePlusWitness, LinearCycle, make_context
 from linpath.report import VerificationReport
 
 
@@ -361,7 +361,7 @@ def reference_find_cycle_plus(H: Hypergraph, k: int, budget: Optional[int] = Non
         count += 1
         if budget is not None and count > budget:
             raise SearchExhaustedError(f"cycle-plus scan exceeded {budget} paths")
-        hit = oracle.closure_witness(H, path)
+        hit = oracle.closure_witness(make_context(H, path))
         if hit is not None:
             return hit
     return None

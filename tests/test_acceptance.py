@@ -117,7 +117,7 @@ def test_06_rotation_invariants():
     ok = True
     for H, P in _planted_rotation_instances():
         ctx = make_context(H, P)
-        new_ctx = rotate(H, ctx)
+        new_ctx = rotate(ctx)
         if new_ctx is None:
             continue
         new = new_ctx.path
@@ -198,7 +198,7 @@ def test_08a_planted_splice_succeeds():
     ok = True
     for H, P in _planted_splice_instances():
         total += 1
-        hit = improve_via_codegree(H, make_context(H, P))
+        hit = improve_via_codegree(make_context(H, P))
         ok &= hit is not None
         if hit is not None:
             hit.path.validate(H)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -340,13 +341,31 @@ def declared_script(name):
         return tomllib.load(fh)["project"]["scripts"][name]
 
 
-def run_process(cmd):
+def run_process(cmd, cwd=None):
     """Run ``cmd`` with ``src/`` importable, however pytest was started."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
-    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60,
+                          cwd=cwd)
+
+
+def test_readme_cli_examples_run(tmp_path):
+    # every linpath line of the README's CLI block, in order, in one
+    # directory: a line ending in "> file" writes that file for later lines
+    block = (REPO / "README.md").read_text().split("## CLI\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("linpath ")]
+    assert len(lines) == 9
+    for line in lines:
+        command, _, out = line.partition(" > ")
+        argv = shlex.split(command)[1:]
+        proc = run_process([sys.executable, "-m", "linpath", *argv], cwd=tmp_path)
+        assert proc.returncode in (0, 1), (line, proc.stderr)
+        assert "Traceback" not in proc.stderr, line
+        if out:
+            (tmp_path / out).write_text(proc.stdout)
 
 
 class TestOtherUniformity:

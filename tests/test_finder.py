@@ -58,21 +58,21 @@ class TestMakeContext:
 class TestExtend:
     def test_complete_extends(self):
         H = gen_complete(3, 7)
-        hit = extend(H, make_context(H, LinearPath((0, 1, 2))))
+        hit = extend(make_context(H, LinearPath((0, 1, 2))))
         assert hit is not None and hit.path.length == 2
 
     def test_star_blocked(self):
         H = gen_star(3, 8, 1)
-        assert extend(H, make_context(H, LinearPath((1, 3, 0, 4, 5)))) is None
+        assert extend(make_context(H, LinearPath((1, 3, 0, 4, 5)))) is None
 
     def test_single_edge_graph_blocked(self):
         H, P = bare_path_graph(1)
-        assert extend(H, make_context(H, P)) is None
+        assert extend(make_context(H, P)) is None
 
     def test_left_end_used_when_right_blocked(self):
         # the only growth edge sits at the left endpoint 0
         H = build(3, 7, [(0, 1, 2), (0, 5, 6)])
-        hit = extend(H, make_context(H, LinearPath((0, 1, 2))))
+        hit = extend(make_context(H, LinearPath((0, 1, 2))))
         assert hit is not None
         assert hit.path.vertices == (2, 1, 0, 5, 6)
         hit.path.validate(H)
@@ -84,21 +84,21 @@ class TestRotate:
         H = build(3, 9, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (0, 4, 6)])
         ctx = make_context(H, LinearPath((0, 1, 2, 3, 4)))
         assert ctx.M == frozenset()
-        assert rotate(H, ctx) is None
+        assert rotate(ctx) is None
 
     def test_no_candidate_index_absent(self):
         H = gen_star(3, 20, 1)
         ctx = make_context(H, LinearPath((1, 2, 0, 3, 4)))
         assert ctx.T == frozenset()
-        assert rotate(H, ctx) is None
-        assert rotate(H, ctx.reversed()) is None
+        assert rotate(ctx) is None
+        assert rotate(ctx.reversed()) is None
 
     def test_planted_rotation_fires(self):
         H = build(3, 9, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (0, 4, 6), (0, 4, 7)])
         P = LinearPath((0, 1, 2, 3, 4))
         ctx = make_context(H, P)
         assert ctx.T == frozenset({0, 1})
-        new = rotate(H, ctx)
+        new = rotate(ctx)
         assert new is not None
         assert new.path.vertices == (2, 1, 0, 5, 4)
         assert new.path.length == P.length
@@ -110,15 +110,15 @@ class TestRotate:
         # right end is the left-end rotation of the reversed context
         H = build(3, 9, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (0, 4, 6), (0, 4, 7)])
         P = LinearPath((4, 3, 2, 1, 0))
-        new = rotate(H, make_context(H, P).reversed())
+        new = rotate(make_context(H, P).reversed())
         assert new is not None
         assert new.path.vertices == (2, 1, 0, 5, 4)
-        assert new.path == rotate(H, make_context(H, P.reversed())).path
+        assert new.path == rotate(make_context(H, P.reversed())).path
 
     def test_vertex_set_relation(self):
         H = build(3, 9, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (0, 4, 6), (0, 4, 7)])
         P = LinearPath((0, 1, 2, 3, 4))
-        new = rotate(H, make_context(H, P)).path
+        new = rotate(make_context(H, P)).path
         dropped = set(P.vertices) - set(new.vertices)
         gained = set(new.vertices) - set(P.vertices)
         assert dropped == {3} and gained == {5}
@@ -127,12 +127,12 @@ class TestRotate:
 class TestImprove:
     def test_bare_path_absent(self):
         H, P = bare_path_graph(3)
-        assert improve_via_codegree(H, make_context(H, P)) is None
+        assert improve_via_codegree(make_context(H, P)) is None
 
     def test_planted_odd_crossing(self):
         H = build(3, 7, [(0, 1, 2), (2, 3, 4), (0, 1, 5), (1, 4, 6)])
         ctx = make_context(H, LinearPath((0, 1, 2, 3, 4)))
-        hit = improve_via_codegree(H, ctx)
+        hit = improve_via_codegree(ctx)
         assert hit is not None
         assert hit.path.vertices == (2, 3, 4, 6, 1, 5, 0)
         assert hit.path.length == 3
@@ -141,13 +141,13 @@ class TestImprove:
         # y = z = 5 is the only candidate: distinctness fails
         H = build(3, 6, [(0, 1, 2), (2, 3, 4), (0, 1, 5), (1, 4, 5)])
         ctx = make_context(H, LinearPath((0, 1, 2, 3, 4)))
-        assert improve_via_codegree(H, ctx) is None
+        assert improve_via_codegree(ctx) is None
 
     def test_planted_connector_left(self):
         # y sees the connector pair (x_0, x_2), z sees (x_0, x_1)
         H = build(3, 7, [(0, 1, 2), (2, 3, 4), (0, 2, 5), (0, 1, 6)])
         ctx = make_context(H, LinearPath((0, 1, 2, 3, 4)))
-        hit = improve_via_codegree(H, ctx)
+        hit = improve_via_codegree(ctx)
         assert hit is not None and hit.path.length == 3
         hit.path.validate(H)
 
@@ -155,7 +155,7 @@ class TestImprove:
         # mirrored: witnesses attach at the right endpoint
         H = build(3, 7, [(0, 1, 2), (2, 3, 4), (2, 4, 5), (3, 4, 6)])
         ctx = make_context(H, LinearPath((0, 1, 2, 3, 4)))
-        hit = improve_via_codegree(H, ctx)
+        hit = improve_via_codegree(ctx)
         assert hit is not None and hit.path.length == 3
         hit.path.validate(H)
 
@@ -221,7 +221,7 @@ class TestCyclePlusWitnessValidate:
 class TestCheckLemmaBounds:
     def test_bare_path_all_hold(self):
         H, P = bare_path_graph(3)
-        report = check_lemma_bounds(H, make_context(H, P))
+        report = check_lemma_bounds(make_context(H, P))
         assert report.passed
 
     def test_star_paths_pass(self):
@@ -229,15 +229,15 @@ class TestCheckLemmaBounds:
         H = gen_star(3, 9, 1)
         assert find_path(H, 3) is None
         for p in iter_paths(H, 2):
-            assert check_lemma_bounds(H, make_context(H, p)).passed
+            assert check_lemma_bounds(make_context(H, p)).passed
 
     def test_violation_pairs_with_improvement(self):
         H = build(3, 7, [(0, 1, 2), (2, 3, 4), (0, 1, 5), (0, 1, 6), (1, 4, 6)])
         ctx = make_context(H, LinearPath((0, 1, 2, 3, 4)))
-        report = check_lemma_bounds(H, ctx)
+        report = check_lemma_bounds(ctx)
         violated = [c.name for c in report.checks if not c.passed]
         assert any(name.startswith("odd_crossing") for name in violated)
-        assert improve_via_codegree(H, ctx) is not None
+        assert improve_via_codegree(ctx) is not None
 
 
 class TestCrossingCyclePlus:
@@ -247,7 +247,7 @@ class TestCrossingCyclePlus:
         edges = base.edges() + [(0, 4, 7), (0, 4, 8), (0, 4, 9), (2, 6, 10)]
         H = build(3, 11, edges)
         ctx = make_context(H, base)
-        w = crossing_cycle_plus(H, ctx, 1)
+        w = crossing_cycle_plus(ctx, 1)
         assert w is not None
         w.validate(H)
         assert w.path.length == base.length  # so the cycle has one edge more
@@ -256,13 +256,13 @@ class TestCrossingCyclePlus:
 class TestClosureWitness:
     def test_present_in_complete(self):
         H = gen_complete(3, 9)
-        w = closure_witness(H, LinearPath((0, 1, 2, 3, 4)))
+        w = closure_witness(make_context(H, LinearPath((0, 1, 2, 3, 4))))
         assert w is not None
         w.validate(H)
 
     def test_absent_without_outside_neighbors(self):
         H, P = bare_path_graph(2)
-        assert closure_witness(H, P) is None
+        assert closure_witness(make_context(H, P)) is None
 
 
 class TestFindGuaranteed:
@@ -363,11 +363,11 @@ def test_frozen_move_outputs():
         for t in (2, 3):
             for P in islice(iter_paths(H, t), 12):
                 ctx = make_context(H, P)
-                outs = [move_outcome(lambda c=c: (r := rotate(H, c)) and r.path.vertices)
+                outs = [move_outcome(lambda c=c: (r := rotate(c)) and r.path.vertices)
                         for c in (ctx, ctx.reversed())]
                 outs.append(move_outcome(
-                    lambda: (r := improve_via_codegree(H, ctx)) and r.path.vertices))
-                outs += [move_outcome(lambda k=k: crossing_cycle_plus(H, ctx, k))
+                    lambda: (r := improve_via_codegree(ctx)) and r.path.vertices))
+                outs += [move_outcome(lambda k=k: crossing_cycle_plus(ctx, k))
                          for k in range(t)]
                 fired += sum(out != "None" for out in outs)
                 digest.update("\n".join(outs).encode())

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import islice
 
 import pytest
 
@@ -15,10 +16,14 @@ from linpath.harness import (
     run_trials,
     verify_construction,
 )
-from linpath.hypergraph import Hypergraph, build, parse, serialize
+from linpath.hypergraph import Hypergraph, all_triples, build, parse, serialize
 from linpath.paths import CyclePlusWitness, LinearPath
 
-from bruteforce import reference_exhaustive_check, reference_random_min_degree_graph
+from bruteforce import (
+    naive_outside_codegree,
+    reference_exhaustive_check,
+    reference_random_min_degree_graph,
+)
 
 
 class TestRandomMinDegreeGraph:
@@ -120,10 +125,11 @@ class TestVerifyConstruction:
     def test_star_k2_passes(self):
         assert verify_construction("star", 3, 11, 2).passed
 
-    def test_fault_injection_detected(self):
+    def test_fault_injection_detected(self, monkeypatch):
         H = gen_star(3, 8, 1)
         broken = build(3, 8, H.edges[1:])  # remove one edge
-        report = verify_construction("star", 3, 8, 1, hypergraph=broken)
+        monkeypatch.setattr(harness, "gen_star", lambda r, n, k: broken)
+        report = verify_construction("star", 3, 8, 1)
         assert not report.passed
         bad = [c for c in report.checks if not c.passed]
         assert any(c.name == "min_degree" and c.expected == "6" for c in bad)
@@ -369,21 +375,39 @@ class TestLemmaSweep:
             range(7, 10), t=2, samples=4, seed=5, max_paths=25, family="random"
         )
         assert report.passed
-        assert len(report.checks) == 668  # the contrapositive arm fired
+        assert len(report.checks) == 746  # the contrapositive arm fired
+
+    def test_endpoint_rows_repaired(self):
+        # an endpoint overload d_P(0, 2t) >= 2 is closed into a cycle-plus;
+        # the overloads are counted apart from linpath, from the edge lists
+        # of the same draws (t = 2 keeps every host in the contrapositive arm)
+        report = lemma_sweep(
+            range(7, 10), t=2, samples=4, seed=5, max_paths=25, family="random"
+        )
+        rows = [c for c in report.checks if "endpoint_codegree" in c.name]
+        assert rows and all(c.passed for c in rows)
+        rng, overloads = random.Random(5), 0
+        for n in range(7, 10):
+            for _ in range(4):
+                p = rng.uniform(0.05, 0.5)
+                H = Hypergraph(n, tuple(tr for tr in all_triples(n) if rng.random() < p))
+                for P in islice(oracle.iter_paths(H, 2), 25):
+                    overloads += naive_outside_codegree(H, P.vertices, 0, 4) >= 2
+        assert len(rows) == overloads == 78
 
     def test_one_splice_per_path(self, monkeypatch):
         # the splice's answer depends only on the context, so a path with
         # several overloads still runs it once
         seen = []
 
-        def recording(H, ctx):
+        def recording(ctx):
             seen.append(ctx)
-            return improve(H, ctx)
+            return improve(ctx)
 
         improve = harness.improve_via_codegree
         monkeypatch.setattr(harness, "improve_via_codegree", recording)
         report = lemma_sweep(
             range(7, 10), t=2, samples=4, seed=5, max_paths=25, family="random"
         )
-        assert len(report.checks) == 668
+        assert len(report.checks) == 746
         assert seen and len({id(ctx) for ctx in seen}) == len(seen)

@@ -71,7 +71,7 @@ def random_paths(H, rng, count):
 def check_paths(H, paths):
     for P in paths:
         ctx = make_context(H, P)
-        hit = extend(H, ctx)
+        hit = extend(ctx)
         assert (hit.path.vertices if hit else None) == reference_extend(H, P.vertices)
         outside, M, T, N_left, N_right = reference_context(H, P.vertices)
         assert (ctx.M, ctx.T, ctx.N_left, ctx.N_right) == (M, T, N_left, N_right)
@@ -85,7 +85,7 @@ def check_paths(H, paths):
             assert ctx.d(a, b) == len(witnesses)
         # the cycle-plus closure takes the endpoints' two least outside witnesses
         ends = outside[(0, 2 * P.length)]
-        w = closure_witness(H, P)
+        w = closure_witness(ctx)
         assert (w and (w.closing, w.parallel)) == (ends[:2] if len(ends) >= 2 else None)
 
 

@@ -1,6 +1,7 @@
 import gc
 import random
-from itertools import islice
+from functools import cache
+from itertools import islice, permutations
 from math import comb
 
 import pytest
@@ -18,6 +19,7 @@ from linpath.oracle import (
     iter_paths,
     longest_path,
     masks_with_path,
+    masks_with_triple,
 )
 from linpath.paths import CyclePlusWitness
 
@@ -98,6 +100,60 @@ class TestFindCycle:
 
     def test_complete_5_too_small(self):
         assert find_cycle(gen_complete(3, 5), 3) is None
+
+
+@cache
+def three_cycles_on_six():
+    """(the edge sets of the linear 3-cycles on 6 vertices, the set of edge
+    masks whose host has one of them), by the bit-per-mask algebra of
+    ``masks_with_path``; a 3-cycle spans all 6 vertices, so each is a
+    permutation z_0..z_5 closed by {z_4, z_5, z_0}."""
+    triples = all_triples(6)
+    index = {e: i for i, e in enumerate(triples)}
+    has = masks_with_triple(6)
+    edge_sets = {
+        frozenset(tuple(sorted((z[i], z[i + 1], z[(i + 2) % 6]))) for i in (0, 2, 4))
+        for z in permutations(range(6))
+    }
+    found = 0
+    for edges in edge_sets:
+        with_edges = -1
+        for e in edges:
+            with_edges &= has[index[e]]
+        found |= with_edges
+    return edge_sets, found
+
+
+class TestFindCycleAllHosts:
+    """find_cycle at k = 3 against the exact set of 6-vertex hosts that
+    have a linear 3-cycle."""
+
+    def test_counts(self):
+        edge_sets, with_cycle = three_cycles_on_six()
+        # 20 connector triples, times 3! ways to give the other three
+        # vertices to the connector pairs
+        assert len(edge_sets) == 120
+        free = [(edge_mask_set(6, d) & ~with_cycle).bit_count() for d in range(7)]
+        assert free == [20_467, 14_533, 4_098, 396, 21, 0, 0]
+
+    def test_no_cycle_on_cycle_free_hosts(self):
+        with_cycle = three_cycles_on_six()[1]
+        free = edge_mask_set(6, 2) & ~with_cycle
+        bits = bin(free)[:1:-1]  # bit i at index i
+        masks = [i for i, bit in enumerate(bits) if bit == "1"]
+        assert len(masks) == 4_098
+        assert all(find_cycle(Hypergraph(6, mask_edges(6, m)), 3) is None for m in masks)
+
+    def test_random_masks_agree(self):
+        edge_sets, with_cycle = three_cycles_on_six()
+        rng = random.Random(6)
+        for _ in range(2000):
+            mask = rng.getrandbits(20)
+            H = Hypergraph(6, mask_edges(6, mask))
+            hit = find_cycle(H, 3)
+            assert (hit is not None) == bool(with_cycle >> mask & 1)
+            if hit is not None:
+                assert frozenset(hit.edges()) in edge_sets
 
 
 class TestFindCyclePlus:
