@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations, islice
 from math import comb
 
-from .errors import InvalidParameterError, NonIntegralError, NotPairUniformError
+from .errors import InvalidParameterError, NotPairUniformError
 from .hypergraph import Hypergraph
 
 
@@ -60,15 +60,10 @@ def gen_complete(r: int, n: int) -> Hypergraph:
     return _prefix(r, n, comb(n, 3))
 
 
-def _half(numerator: int, what: str) -> int:
-    if numerator % 2:
-        raise NonIntegralError(f"{what} evaluated to {numerator}/2")
-    return numerator // 2
-
-
 def star_min_degree(n: int, k: int) -> int:
-    """delta_1 of the 3-uniform star: kn - k^2/2 - 3k/2."""
-    return _half(k * (2 * n - k - 3), f"star_min_degree({n},{k})")
+    """delta_1 of the 3-uniform star: kn - k^2/2 - 3k/2.  k(2n-k-3) is
+    even for every integer k, so the halving is exact."""
+    return k * (2 * n - k - 3) // 2
 
 
 def star_plus_min_degree(n: int, k: int) -> int:
@@ -97,11 +92,12 @@ def g_bound(n: int, t: int) -> int:
 
     Odd t: ((t-1)/2)n + (3/2)t^2 - (9/2)t + 6; even t: ((t-2)/2)n +
     (3/2)t^2 - (5/2)t + 6.  Agrees with theorem_threshold for odd t and
-    exceeds it by exactly one for even t.
+    exceeds it by exactly one for even t.  Each halved numerator is even:
+    (t-1)n and 3t(t-3) for odd t, (t-2)n and t(3t-5) for even t.
     """
     if t < 3:
         raise InvalidParameterError(f"g_bound needs t >= 3, got {t}")
     if t % 2:
-        return _half((t - 1) * n, "g_bound") + _half(3 * t * t - 9 * t, "g_bound") + 6
-    return _half((t - 2) * n, "g_bound") + _half(3 * t * t - 5 * t, "g_bound") + 6
+        return (t - 1) * n // 2 + 3 * t * (t - 3) // 2 + 6
+    return (t - 2) * n // 2 + t * (3 * t - 5) // 2 + 6
 

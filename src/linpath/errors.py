@@ -39,10 +39,6 @@ class InvalidParameterError(LinpathError):
     """A construction parameter is out of its valid range."""
 
 
-class NonIntegralError(LinpathError):
-    """A closed-form degree formula did not evaluate to an integer."""
-
-
 class OrderTooLargeError(LinpathError):
     """Exhaustive enumeration requested beyond the supported order."""
 

@@ -3,7 +3,8 @@
 Maintains a current linear path and applies moves, each of which strictly
 increases (length, |M|) lexicographically, where M is the set of connector
 indices i with at least two common neighbors of x_{2i}, x_{2i+2} outside
-the path:
+the path.  find_guaranteed tries them from one ordered table, in this
+order, and takes the first that applies:
 
 * extend    -- append a fresh edge at either endpoint (length +1);
 * splice    -- rewire through two distinct outside codegree witnesses
@@ -38,6 +39,7 @@ from typing import Callable, Optional, Union
 from . import oracle
 from .constructions import theorem_threshold
 from .errors import (
+    InvalidParameterError,
     InvalidPathError,
     LemmaStepError,
     RotationPostconditionError,
@@ -73,8 +75,8 @@ def rotate(ctx: PathContext) -> Optional[PathContext]:
     bridging vertex v is the smallest one avoiding, for every k in M with
     exactly two outside witnesses, that pair's outside set; pigeonhole
     guarantees one exists.
-    The rotated path keeps the length, replaces x_{2k'+1} by v in the vertex
-    set, and has strictly more M-members (asserted on the context returned).
+    v replaces x_{2k'+1} in the vertex set by construction; that the length
+    is kept and |M| grows is asserted on the context returned.
     """
     x = ctx.path.vertices
     gate = max(2 * len(ctx.M) + 1, 3)
@@ -95,9 +97,6 @@ def rotate(ctx: PathContext) -> Optional[PathContext]:
         new_seq = tuple(reversed(x[: 2 * kp + 1])) + (v,) + x[2 * kp + 2 :]
         new_ctx = _checked(ctx.host, new_seq, ctx.path.length,
                            RotationPostconditionError, "rotated")
-        expected_vset = (set(x) - {x[2 * kp + 1]}) | {v}
-        if set(new_seq) != expected_vset:
-            raise RotationPostconditionError("rotation vertex-set relation violated")
         if len(new_ctx.M) < len(ctx.M) + 1:
             raise RotationPostconditionError(
                 f"|M| did not grow: {len(ctx.M)} -> {len(new_ctx.M)}"
@@ -220,6 +219,24 @@ def unfold_cycle_plus(H: Hypergraph, W: CyclePlusWitness) -> Optional[PathContex
     return None
 
 
+def _rotate_either_end(ctx: PathContext) -> Optional[PathContext]:
+    """rotate at the end with the smaller refinement set, then the other."""
+    ends = (ctx, ctx.reversed())
+    if len(ctx.N_right) < len(ctx.N_left):
+        ends = ends[::-1]
+    for end in ends:
+        rotated = rotate(end)
+        if rotated is not None:
+            return rotated
+    return None
+
+
+def _unfold(ctx: PathContext) -> Optional[PathContext]:
+    """Close the path into a cycle-plus, if it closes, and reopen it."""
+    witness = closure_witness(ctx)
+    return None if witness is None else unfold_cycle_plus(ctx.host, witness)
+
+
 def find_guaranteed(
     H: Hypergraph,
     t: int,
@@ -228,13 +245,17 @@ def find_guaranteed(
 ) -> Union[LinearPath, ViolationReport]:
     """Drive the moves until a linear t-path emerges or no move applies.
 
-    Lengths 1 and 2 are delegated to the exact oracle.  For t >= 3 the
-    loop tries extend, splice, rotate (at the endpoint with the smaller
-    refinement set first), then unfold.  Each move returns the context of
-    the path it built, which serves every later step on that path.
-    When stuck: LemmaStepFailed if the degree threshold promised a move,
-    HypothesisUnmet otherwise.  Budget defaults to 16*n^2 accepted moves.
+    Lengths 1 and 2 are delegated to the exact oracle.  For t >= 3 each
+    step tries one ordered table of moves, extend, splice, rotate (at the
+    endpoint with the smaller refinement set first), unfold, and the first
+    that returns a context wins.  That context serves every later step on
+    its path, once the step is shown to advance (length, |M|).  When
+    stuck: LemmaStepFailed if the degree threshold promised a move,
+    HypothesisUnmet otherwise.  Budget defaults to 16*n^2 accepted moves;
+    a negative one raises InvalidParameterError.
     """
+    if budget is not None and budget < 0:
+        raise InvalidParameterError(f"budget={budget} must be >= 0")
     if t <= 2:
         hit = oracle.find_path(H, t)
         if hit is not None:
@@ -255,28 +276,15 @@ def find_guaranteed(
         return ViolationReport("HypothesisUnmet", "graph has no edges")
     if budget is None:
         budget = 16 * H.n * H.n
-
+    # built per call, so that a move replaced on this module is the one tried
+    table = (("extend", extend), ("splice", improve_via_codegree),
+             ("rotate", _rotate_either_end), ("unfold", _unfold))
     ctx = make_context(H, LinearPath(H.edges[0]))
     moves = 0
-
-    def accept(kind: str, new_ctx: PathContext) -> PathContext:
-        """new_ctx, once its move is shown to advance."""
-        nonlocal moves
-        mark = (ctx.path.length, len(ctx.M))
-        new_mark = (new_ctx.path.length, len(new_ctx.M))
-        if new_mark <= mark:
-            raise LemmaStepError(
-                f"move {kind} did not advance (length, |M|): {mark} -> {new_mark}"
-            )
-        moves += 1
-        if on_move is not None:
-            on_move(kind, new_mark[0], new_mark[1])
-        return new_ctx
-
     while True:
         path = ctx.path
         if path.length >= t:
-            return path.prefix(t).validate(H)
+            return path.validate(H)
         if moves >= budget:
             return ViolationReport(
                 "BudgetExhausted",
@@ -284,44 +292,36 @@ def find_guaranteed(
                 ctx,
             )
         try:
-            longer = extend(ctx)
-            if longer is not None:
-                ctx = accept("extend", longer)
-                continue
-            longer = improve_via_codegree(ctx)
-            if longer is not None:
-                ctx = accept("splice", longer)
-                continue
-            ends = (ctx, ctx.reversed())
-            if len(ctx.N_right) < len(ctx.N_left):
-                ends = ends[::-1]
-            rotated = None
-            for end in ends:
-                rotated = rotate(end)
-                if rotated is not None:
+            for kind, move in table:
+                new_ctx = move(ctx)
+                if new_ctx is not None:
                     break
-            if rotated is not None:
-                ctx = accept("rotate", rotated)
-                continue
-            witness = closure_witness(ctx)
-            if witness is not None:
-                longer = unfold_cycle_plus(H, witness)
-                if longer is not None:
-                    ctx = accept("unfold", longer)
-                    continue
         except LemmaStepError as exc:
             return ViolationReport("LemmaStepFailed", str(exc), ctx)
-        bound, min_n = theorem_threshold(H.n, t)
-        if H.min_degree() >= bound and H.n >= min_n:
+        if new_ctx is None:
+            break  # no move applies
+        mark = (path.length, len(ctx.M))
+        new_mark = (new_ctx.path.length, len(new_ctx.M))
+        if new_mark <= mark:
             return ViolationReport(
                 "LemmaStepFailed",
-                f"no move at length {path.length} although delta_1 >= {bound}",
+                f"move {kind} did not advance (length, |M|): {mark} -> {new_mark}",
                 ctx,
             )
+        moves += 1
+        if on_move is not None:
+            on_move(kind, *new_mark)
+        ctx = new_ctx
+    bound, min_n = theorem_threshold(H.n, t)
+    if H.min_degree() >= bound and H.n >= min_n:
         return ViolationReport(
-            "HypothesisUnmet",
-            f"stuck at length {path.length}; delta_1={H.min_degree()} "
-            f"threshold={bound} min_n={min_n}",
+            "LemmaStepFailed",
+            f"no move at length {path.length} although delta_1 >= {bound}",
             ctx,
         )
-
+    return ViolationReport(
+        "HypothesisUnmet",
+        f"stuck at length {path.length}; delta_1={H.min_degree()} "
+        f"threshold={bound} min_n={min_n}",
+        ctx,
+    )

@@ -273,16 +273,16 @@ def lemma_sweep(
         for j in range(1 if family == "star" else samples):
             if family == "star":
                 H = gen_star(3, n, t // 2)
-                free = True  # longest path in star(n, t//2) is t
                 paths = _star_sample_paths(n, t // 2, max_paths)
             else:
                 p = rng.uniform(0.05, 0.5)
                 H = _random_3graph(n, p, rng)
-                free = oracle.find_path(H, t + 1) is None
                 paths = islice(oracle.iter_paths(H, t), max_paths)
+            # the longest path in star(n, t//2) is t; a random host is
+            # searched only once the cheap conditions hold
             strong = (
-                free and t >= 3 and n >= 2 * t + 17
-                and H.min_degree() >= g_bound(n, t)
+                t >= 3 and n >= 2 * t + 17 and H.min_degree() >= g_bound(n, t)
+                and (family == "star" or oracle.find_path(H, t + 1) is None)
             )
             if strong:
                 plus = oracle.find_cycle_plus(H, t + 1)

@@ -98,8 +98,11 @@ def _search(H: Hypergraph, t: int, close: int, budget: Optional[int]) -> Optiona
     vertex; start vertices follow the same rule.  When ``close`` > 0 the
     memo key holds the start vertex as bit n + start of the used set, which
     no free set reaches.  ``budget`` caps the expanded states, start
-    vertices included; the test at length t is not a state.
+    vertices included; the test at length t is not a state.  A negative
+    budget raises InvalidParameterError.
     """
+    if budget is not None and budget < 0:
+        raise InvalidParameterError(f"budget={budget} must be >= 0")
     if H.n < 2 * t + 1 + close or len(H.edges) < t + close:
         return None
     full = (1 << H.n) - 1

@@ -56,12 +56,6 @@ class LinearPath:
     def reversed(self) -> "LinearPath":
         return LinearPath(tuple(reversed(self.vertices)))
 
-    def prefix(self, t: int) -> "LinearPath":
-        """The first t edges, itself a linear path."""
-        if not 1 <= t <= self.length:
-            raise InvalidPathError(f"no {t}-edge prefix of a {self.length}-path")
-        return LinearPath(self.vertices[: 2 * t + 1])
-
     def validate(self, H: Hypergraph) -> "LinearPath":
         v = self.vertices
         if len(v) < 3 or len(v) % 2 == 0:

@@ -129,6 +129,38 @@ class TestBudgetExhausted:
         )
 
 
+class TestBudgetRange:
+    """A negative budget is bad input, exit 2 with a message; a zero
+    budget is a search that runs out at once, exit 3."""
+
+    SEARCHES = {
+        "find": ["find", "--length", "4"],
+        "path": ["oracle", "--path", "3"],
+        "cycle": ["oracle", "--cycle", "3"],
+        "cycleplus": ["oracle", "--cycleplus", "5"],
+        "longest": ["oracle", "--longest", "5"],
+    }
+
+    @pytest.fixture
+    def star11(self, tmp_path):
+        f = tmp_path / "star11.h3"
+        f.write_text(serialize(gen_star(3, 11, 2)))
+        return str(f)
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_negative_budget_exit_2(self, capsys, star11, search):
+        code, out, err = run_cli(capsys, *self.SEARCHES[search], "-i", star11,
+                                 "--budget", "-1")
+        assert (code, out, err) == (2, "", "error: budget=-1 must be >= 0\n")
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_zero_budget_exit_3(self, capsys, star11, search):
+        code, out, err = run_cli(capsys, *self.SEARCHES[search], "-i", star11,
+                                 "--budget", "0")
+        assert (code, err) == (3, "")
+        assert out.startswith("unknown: ")
+
+
 class TestFind:
     def test_finder_mode_success(self, capsys, tmp_path):
         from linpath.harness import random_min_degree_graph

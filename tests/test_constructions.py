@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -196,6 +197,22 @@ class TestClosedForms:
             assert g_bound(floor, t) >= comb(2 * t + 2, 2)
             for n in range(floor + 1, floor + 6):
                 assert g_bound(n, t) > comb(2 * t + 2, 2)
+
+    def test_formulas_exact_on_a_grid(self):
+        # the docstring formulas in exact arithmetic: every halving in the
+        # integer code is exact, so nothing is rounded
+        half = Fraction(1, 2)
+        for n in range(1, 201):
+            for k in range(1, 21):
+                star = k * n - k * k * half - 3 * k * half
+                assert star_min_degree(n, k) == star
+                assert star_plus_min_degree(n, k) == star + 1
+            for t in range(3, 41):
+                if t % 2:
+                    g = (t - 1) * half * n + 3 * half * t * t - 9 * half * t + 6
+                else:
+                    g = (t - 2) * half * n + 3 * half * t * t - 5 * half * t + 6
+                assert g_bound(n, t) == g
 
     def test_threshold_exceeds_extremal_degree(self):
         for k in (1, 2):

@@ -377,6 +377,23 @@ class TestLemmaSweep:
         assert report.passed
         assert len(report.checks) == 746  # the contrapositive arm fired
 
+    def test_random_family_below_the_floor_searches_no_host(self, monkeypatch):
+        # at t = 2 no host can enter the strong arm, so none is searched
+        # for a (t+1)-path
+        searches = []
+        find_path = oracle.find_path
+
+        def counting_find_path(H, t, budget=None):
+            searches.append(t)
+            return find_path(H, t, budget)
+
+        monkeypatch.setattr(oracle, "find_path", counting_find_path)
+        report = lemma_sweep(
+            range(7, 10), t=2, samples=4, seed=5, max_paths=25, family="random"
+        )
+        assert len(report.checks) == 746
+        assert searches == []
+
     def test_endpoint_rows_repaired(self):
         # an endpoint overload d_P(0, 2t) >= 2 is closed into a cycle-plus;
         # the overloads are counted apart from linpath, from the edge lists
