@@ -57,8 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fnd.add_argument("--trace", action="store_true")
 
     ver = sub.add_parser("verify", help="certify a construction or a small order")
-    ver.add_argument("--construction", choices=["star", "star_plus"])
-    ver.add_argument("--exhaustive", action="store_true")
+    mode = ver.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--construction", choices=["star", "star_plus"])
+    mode.add_argument("--exhaustive", action="store_true")
     ver.add_argument("--n", type=int, required=True)
     ver.add_argument("--k", type=int, default=1)
     ver.add_argument("--min-degree", type=int, default=0)
@@ -139,11 +140,8 @@ def _cmd_find(args) -> int:
 def _cmd_verify(args) -> int:
     if args.construction:
         report = harness.verify_construction(args.construction, 3, args.n, args.k)
-    elif args.exhaustive:
-        report = harness.exhaustive_check(args.n, args.min_degree, args.length)
     else:
-        print("verify needs --construction or --exhaustive", file=sys.stderr)
-        return 2
+        report = harness.exhaustive_check(args.n, args.min_degree, args.length)
     sys.stdout.write(report.to_text())
     return 0 if report.passed else 1
 

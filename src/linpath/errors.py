@@ -62,14 +62,3 @@ class LemmaStepError(LinpathError):
     underlying argument; it must never be swallowed.
     """
 
-
-class RotationPostconditionError(LemmaStepError):
-    """Rotation returned an invalid path or failed to grow the M-set."""
-
-
-class SplicePostconditionError(LemmaStepError):
-    """A codegree splice did not produce a valid longer path."""
-
-
-class UnfoldPostconditionError(LemmaStepError):
-    """Unfolding a cycle-plus witness did not produce a valid longer path."""

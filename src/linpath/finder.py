@@ -17,7 +17,11 @@ order, and takes the first that applies:
 Under the degree threshold of `constructions.theorem_threshold` some move
 always applies until the target length is reached; when the threshold is
 met and no move applies, the run reports LemmaStepFailed rather than
-guessing, because that outcome would witness a bug.
+guessing, because that outcome would witness a bug.  A move that breaks
+its own postcondition (a sequence that is not a path of the promised
+length, a rotation whose M-set does not grow) raises LemmaStepError, as
+does a step that does not advance (length, |M|); find_guaranteed turns
+each into a LemmaStepFailed report at the path it started from.
 
 Every move takes a PathContext (paths.make_context) alone, reads its host
 from it, and returns the new path's context (or None).  make_context is
@@ -38,14 +42,7 @@ from typing import Callable, Optional, Union
 
 from . import oracle
 from .constructions import theorem_threshold
-from .errors import (
-    InvalidParameterError,
-    InvalidPathError,
-    LemmaStepError,
-    RotationPostconditionError,
-    SplicePostconditionError,
-    UnfoldPostconditionError,
-)
+from .errors import InvalidParameterError, InvalidPathError, LemmaStepError, SearchExhaustedError
 from .hypergraph import Hypergraph, least_vertex, mask_vertices
 from .oracle import closure_witness
 from .paths import CyclePlusWitness, LinearPath, PathContext, make_context
@@ -89,31 +86,33 @@ def rotate(ctx: PathContext) -> Optional[PathContext]:
                 avoid |= ctx.outside_mask(2 * k, 2 * k + 2)
         candidates = ctx.outside_mask(0, 2 * kp + 2) & ~avoid
         if not candidates:
-            raise RotationPostconditionError(
+            raise LemmaStepError(
                 f"pigeonhole failed at k'={kp}: gate {gate}, "
                 f"avoid {list(mask_vertices(avoid))}"
             )
         v = least_vertex(candidates)
         new_seq = tuple(reversed(x[: 2 * kp + 1])) + (v,) + x[2 * kp + 2 :]
-        new_ctx = _checked(ctx.host, new_seq, ctx.path.length,
-                           RotationPostconditionError, "rotated")
+        new_ctx = _checked(ctx.host, new_seq, ctx.path.length, "rotated")
         if len(new_ctx.M) < len(ctx.M) + 1:
-            raise RotationPostconditionError(
+            raise LemmaStepError(
                 f"|M| did not grow: {len(ctx.M)} -> {len(new_ctx.M)}"
             )
         return new_ctx
     return None
 
 
-def _checked(H: Hypergraph, seq: tuple, length: int, error: type, what: str) -> PathContext:
+def _checked(H: Hypergraph, seq: tuple, length: int, what: str) -> PathContext:
     """The context of seq as a linear path of the given length; a move
-    whose output is anything else raises its own postcondition error."""
+    whose output is anything else raises LemmaStepError, naming the move
+    by what it did ("rotated", "spliced", "unfolded")."""
     try:
         new_ctx = make_context(H, LinearPath(seq))
     except InvalidPathError as exc:
-        raise error(f"{what} sequence invalid: {exc}") from exc
+        raise LemmaStepError(f"{what} sequence invalid: {exc}") from exc
     if new_ctx.path.length != length:
-        raise error(f"{what} sequence has length {new_ctx.path.length}, expected {length}")
+        raise LemmaStepError(
+            f"{what} sequence has length {new_ctx.path.length}, expected {length}"
+        )
     return new_ctx
 
 
@@ -153,27 +152,23 @@ def improve_via_codegree(ctx: PathContext) -> Optional[PathContext]:
       vertices, again distinct.
 
     Returns the context of the spliced path, which has length exactly t+1;
-    a failed splice raises SplicePostconditionError.
+    a failed splice raises LemmaStepError.
     """
     x = ctx.path.vertices
     t = ctx.path.length
-
-    def finish(seq: tuple) -> PathContext:
-        return _checked(ctx.host, seq, t + 1, SplicePostconditionError, "spliced")
-
     for k in range(t):
         pick = _distinct_pair(
             ctx.outside_mask(0, 2 * k + 1), ctx.outside_mask(2 * k + 1, 2 * t)
         )
         if pick is not None:
             y, z = pick
-            return finish(_splice_odd(x, k, y, z))
+            return _checked(ctx.host, _splice_odd(x, k, y, z), t + 1, "spliced")
     for k in range(t):
         # the right end's configuration at k is the left one's at t-1-k
         for end, kk in ((ctx, k), (ctx.reversed(), t - 1 - k)):
             seq = _splice_connector(end, kk)
             if seq is not None:
-                return finish(seq)
+                return _checked(ctx.host, seq, t + 1, "spliced")
     return None
 
 
@@ -193,10 +188,6 @@ def unfold_cycle_plus(H: Hypergraph, W: CyclePlusWitness) -> Optional[PathContex
     X = set(cyc)
     v = W.parallel
     pos = {u: i for i, u in enumerate(cyc)}
-
-    def finish(seq: tuple) -> PathContext:
-        return _checked(H, seq, t + 1, UnfoldPostconditionError, "unfolded")
-
     for e in H.incident_edges(v):
         rest = [u for u in e if u != v]
         inside = [u for u in rest if u in X]
@@ -205,7 +196,7 @@ def unfold_cycle_plus(H: Hypergraph, W: CyclePlusWitness) -> Optional[PathContex
         if len(inside) == 0:
             v1, v2 = sorted(rest)
             seq = (v2, v1, v, cyc[2 * t]) + cyc[: 2 * t - 1]
-            return finish(seq)
+            return _checked(H, seq, t + 1, "unfolded")
         xi = inside[0]
         vp = rest[0] if rest[1] == xi else rest[1]
         i = pos[xi]
@@ -215,7 +206,7 @@ def unfold_cycle_plus(H: Hypergraph, W: CyclePlusWitness) -> Optional[PathContex
             seq = (v, vp, cyc[i], cyc[i - 1]) + tuple(
                 cyc[(i + 1 + j) % L] for j in range(2 * t - 1)
             )
-        return finish(seq)
+        return _checked(H, seq, t + 1, "unfolded")
     return None
 
 
@@ -245,19 +236,25 @@ def find_guaranteed(
 ) -> Union[LinearPath, ViolationReport]:
     """Drive the moves until a linear t-path emerges or no move applies.
 
-    Lengths 1 and 2 are delegated to the exact oracle.  For t >= 3 each
-    step tries one ordered table of moves, extend, splice, rotate (at the
-    endpoint with the smaller refinement set first), unfold, and the first
-    that returns a context wins.  That context serves every later step on
-    its path, once the step is shown to advance (length, |M|).  When
-    stuck: LemmaStepFailed if the degree threshold promised a move,
-    HypothesisUnmet otherwise.  Budget defaults to 16*n^2 accepted moves;
-    a negative one raises InvalidParameterError.
+    Lengths 1 and 2 are delegated to the exact oracle, whose expanded
+    states the budget then caps.  For t >= 3 each step tries one ordered
+    table of moves, extend, splice, rotate (at the endpoint with the
+    smaller refinement set first), unfold, and the first that returns a
+    context wins.  That context serves every later step on its path, once
+    the step is shown to advance (length, |M|); a move that raises
+    LemmaStepError, or does not advance, ends the run as LemmaStepFailed.
+    When stuck: LemmaStepFailed if the degree threshold promised a move,
+    HypothesisUnmet otherwise.  There the budget defaults to 16*n^2
+    accepted moves.  Running out of either budget is BudgetExhausted; a
+    negative budget raises InvalidParameterError.
     """
     if budget is not None and budget < 0:
         raise InvalidParameterError(f"budget={budget} must be >= 0")
     if t <= 2:
-        hit = oracle.find_path(H, t)
+        try:
+            hit = oracle.find_path(H, t, budget)
+        except SearchExhaustedError as exc:
+            return ViolationReport("BudgetExhausted", str(exc))
         if hit is not None:
             return hit
         base_ok = (H.n >= 3 and H.min_degree() >= 1) if t == 1 else (
@@ -296,18 +293,16 @@ def find_guaranteed(
                 new_ctx = move(ctx)
                 if new_ctx is not None:
                     break
+            if new_ctx is None:
+                break  # no move applies
+            mark = (path.length, len(ctx.M))
+            new_mark = (new_ctx.path.length, len(new_ctx.M))
+            if new_mark <= mark:
+                raise LemmaStepError(
+                    f"move {kind} did not advance (length, |M|): {mark} -> {new_mark}"
+                )
         except LemmaStepError as exc:
             return ViolationReport("LemmaStepFailed", str(exc), ctx)
-        if new_ctx is None:
-            break  # no move applies
-        mark = (path.length, len(ctx.M))
-        new_mark = (new_ctx.path.length, len(new_ctx.M))
-        if new_mark <= mark:
-            return ViolationReport(
-                "LemmaStepFailed",
-                f"move {kind} did not advance (length, |M|): {mark} -> {new_mark}",
-                ctx,
-            )
         moves += 1
         if on_move is not None:
             on_move(kind, *new_mark)

@@ -34,6 +34,7 @@ must yield every path, so it keeps no memo and prunes no twin.
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from itertools import permutations
 from math import comb
 from typing import Iterator, Optional
 
@@ -265,8 +266,9 @@ def _check_order(n: int) -> None:
 
 
 def edge_mask_set(n: int, min_degree: int = 0) -> int:
-    """The edge masks of :func:`edge_masks` as one set: an int of
-    2^C(n,3) bits, with bit ``mask`` set when that host passes.
+    """The edge masks of the labeled 3-graphs on n vertices (n <= 6) with
+    minimum degree at least ``min_degree``, as one set: an int of 2^C(n,3)
+    bits, with bit ``mask`` set when that host passes.
 
     Bit i of a mask stands for triple i of ``all_triples(n)``.  For each
     vertex v, ``at_least[k]`` is the set of passing masks so far that have
@@ -292,28 +294,18 @@ def edge_mask_set(n: int, min_degree: int = 0) -> int:
     return passing
 
 
-def edge_masks(n: int, min_degree: int = 0) -> Iterator[int]:
-    """Every edge mask of a labeled 3-graph on n vertices (n <= 6) with
-    minimum degree at least ``min_degree``, in increasing order: the set
-    bits of :func:`edge_mask_set`, found in its binary string.  Bit i of a
-    mask stands for triple i of ``all_triples(n)``, and the degree of v is
-    the number of set bits the mask shares with the triples at v."""
+def enumerate_hypergraphs(n: int, min_degree: int = 0) -> Iterator[Hypergraph]:
+    """Every labeled simple 3-graph on n vertices (n <= 6) with minimum
+    degree at least ``min_degree``, each once: one host per set bit of
+    :func:`edge_mask_set`, found in its binary string, in increasing order
+    of the mask.  Only the graphs that pass are built.
+    ``harness.exhaustive_check`` builds none of them: it takes the set
+    difference of :func:`edge_mask_set` and :func:`masks_with_path`."""
     bits = bin(edge_mask_set(n, min_degree))[:1:-1]  # bit i at index i
     mask = bits.find("1")
     while mask >= 0:
-        yield mask
-        mask = bits.find("1", mask + 1)
-
-
-def enumerate_hypergraphs(n: int, min_degree: int = 0) -> Iterator[Hypergraph]:
-    """Every labeled simple 3-graph on n vertices (n <= 6) with minimum
-    degree at least ``min_degree``, each once: one host per mask of
-    :func:`edge_masks`, in its order.  Only the graphs that pass are
-    built.  ``harness.exhaustive_check`` builds none of them: it takes
-    the set difference of :func:`edge_mask_set` and
-    :func:`masks_with_path`."""
-    for mask in edge_masks(n, min_degree):
         yield Hypergraph(n, mask_edges(n, mask))
+        mask = bits.find("1", mask + 1)
 
 
 @cache
@@ -324,17 +316,20 @@ def masks_with_path(n: int, t: int) -> int:
     The vertices of a linear path are distinct, so a host has the path
     exactly when it has the path's t edges.  The set is therefore the
     union, over the distinct edge sets of the t-paths of the complete host,
-    of the AND of the ``masks_with_triple`` sets of their triples.  When
-    n < 2t+1 there is no such edge set and the set is empty.  Each (n, t)
-    is computed once, on its first call, and kept.
+    of the AND of the ``masks_with_triple`` sets of their triples.  In the
+    complete host every order of 2t+1 distinct vertices is a t-path, so
+    these edge sets are read off the vertex orders, and no host is built.
+    When n < 2t+1 there is no such order and the set is empty.  Each
+    (n, t) is computed once, on its first call, and kept.
     """
     _check_order(n)
+    if t < 1:
+        raise InvalidParameterError(f"path length t={t} must be >= 1")
     has = masks_with_triple(n)
-    triples = all_triples(n)
-    index = {e: i for i, e in enumerate(triples)}
-    complete = Hypergraph(n, triples)
+    index = {e: i for i, e in enumerate(all_triples(n))}
     found = 0
-    for edges in {frozenset(P.edges()) for P in iter_paths(complete, t)}:
+    for edges in {frozenset(LinearPath(seq).edges())
+                  for seq in permutations(range(n), 2 * t + 1)}:
         with_edges = -1
         for e in edges:
             with_edges &= has[index[e]]

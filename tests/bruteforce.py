@@ -249,8 +249,9 @@ def reference_enumerate_hypergraphs(n, min_degree=0):
 
 
 def reference_edge_masks(n, min_degree=0):
-    """``oracle.edge_masks`` as the flat scan it replaced: every mask is
-    tested, with one popcount per vertex."""
+    """The set bits of ``oracle.edge_mask_set``, in increasing order, as
+    the flat scan it replaced: every mask is tested, with one popcount per
+    vertex."""
     if n > 6:
         raise OrderTooLargeError(f"exhaustive enumeration capped at n=6, got {n}")
     if n < 3:

@@ -160,6 +160,15 @@ class TestBudgetRange:
         assert (code, err) == (3, "")
         assert out.startswith("unknown: ")
 
+    @pytest.mark.parametrize("length", ["1", "2"])
+    def test_finder_base_case_zero_budget_exit_3(self, capsys, star11, length):
+        # at lengths 1 and 2 the budget caps the exact search's states
+        code, out, err = run_cli(capsys, "find", "-i", star11, "--length", length,
+                                 "--budget", "0")
+        assert (code, out, err) == (
+            3, "unknown: BudgetExhausted path search exceeded 0 nodes\n", ""
+        )
+
 
 class TestFind:
     def test_finder_mode_success(self, capsys, tmp_path):
@@ -305,7 +314,16 @@ class TestVerify:
     def test_needs_a_mode(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "5")
         assert code == 2
-        assert "verify needs" in err
+        assert "one of the arguments --construction --exhaustive is required" in err
+
+    def test_both_modes_exit_2(self, capsys):
+        # one verify runs one check; the exhaustive check would fail here
+        code, out, err = run_cli(
+            capsys, "verify", "--construction", "star", "--exhaustive",
+            "--n", "6", "--min-degree", "1", "--length", "2",
+        )
+        assert (code, out) == (2, "")
+        assert "not allowed with argument --construction" in err
 
 
 class TestExperiment:

@@ -310,6 +310,83 @@ class TestFindGuaranteed:
         assert result.reason == "HypothesisUnmet"
 
 
+class TestLemmaStepFailed:
+    """Every way a t >= 3 run, or the base case, reports LemmaStepFailed.
+    The move table is built per call, so a move replaced on the finder
+    module is the one tried."""
+
+    @staticmethod
+    def refuse(monkeypatch, *names):
+        for name in names:
+            monkeypatch.setattr(finder, name, lambda *args: None)
+
+    def test_splice_sequence_not_a_path(self, monkeypatch):
+        H = gen_complete(3, 7)
+        self.refuse(monkeypatch, "extend")
+        # the odd configuration at k = 0, witnesses y = 3 and z = 4
+        monkeypatch.setattr(finder, "_splice_odd", lambda x, k, y, z: x + (y, x[0]))
+        result = find_guaranteed(H, 3)
+        assert isinstance(result, ViolationReport)
+        assert (result.reason, result.detail) == (
+            "LemmaStepFailed", "spliced sequence invalid: repeated vertex in (0, 1, 2, 3, 0)"
+        )
+        assert result.snapshot.path == LinearPath((0, 1, 2))
+
+    def test_unfold_sequence_not_a_path(self, monkeypatch):
+        class Unchecked(CyclePlusWitness):
+            def validate(self, H):
+                return self
+
+        # the closing edge {2, 4, 0} is missing, and the edge {2, 3, 5} at
+        # the parallel vertex 3 reopens the cycle through it
+        H = build(3, 6, [(0, 1, 2), (0, 2, 3), (2, 3, 5)])
+        self.refuse(monkeypatch, "extend", "improve_via_codegree", "rotate")
+        monkeypatch.setattr(finder, "closure_witness",
+                            lambda ctx: Unchecked(ctx.path, 4, 3))
+        result = find_guaranteed(H, 3)
+        assert isinstance(result, ViolationReport)
+        assert (result.reason, result.detail) == (
+            "LemmaStepFailed", "unfolded sequence invalid: triple (0, 2, 4) is not an edge"
+        )
+        assert result.snapshot.path == LinearPath((0, 1, 2))
+
+    def test_move_that_does_not_advance(self, monkeypatch):
+        H = gen_complete(3, 7)
+        monkeypatch.setattr(finder, "extend", lambda ctx: ctx)
+        result = find_guaranteed(H, 3)
+        assert isinstance(result, ViolationReport)
+        assert (result.reason, result.detail) == (
+            "LemmaStepFailed", "move extend did not advance (length, |M|): (1, 1) -> (1, 1)"
+        )
+        assert result.snapshot.path == LinearPath((0, 1, 2))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_move_at_the_threshold(self, monkeypatch, seed):
+        bound, floor = theorem_threshold(23, 3)
+        assert (bound, floor) == (29, 23)
+        H = random_min_degree_graph(23, bound, seed)
+        self.refuse(monkeypatch, "extend", "improve_via_codegree", "rotate",
+                    "unfold_cycle_plus")
+        result = find_guaranteed(H, 3)
+        assert isinstance(result, ViolationReport)
+        assert (result.reason, result.detail) == (
+            "LemmaStepFailed", "no move at length 1 although delta_1 >= 29"
+        )
+        assert result.snapshot.path == LinearPath(H.edges[0])
+
+    def test_base_case_oracle_finds_nothing(self, monkeypatch):
+        H = gen_complete(3, 5)
+        assert H.min_degree() == 6
+        monkeypatch.setattr(finder.oracle, "find_path", lambda H, t, budget=None: None)
+        result = find_guaranteed(H, 2)
+        assert isinstance(result, ViolationReport)
+        assert (result.reason, result.detail, result.snapshot) == (
+            "LemmaStepFailed",
+            "base-case hypotheses hold for t=2 yet the oracle found no path",
+            None,
+        )
+
+
 class TestValidateOnce:
     """Each accepted path is validated once, by the make_context call that
     builds its context; the moves never re-validate a path."""
