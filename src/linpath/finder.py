@@ -175,38 +175,36 @@ def improve_via_codegree(ctx: PathContext) -> Optional[PathContext]:
 def unfold_cycle_plus(H: Hypergraph, W: CyclePlusWitness) -> Optional[PathContext]:
     """Reopen a (t+1)-cycle-with-parallel-edge into a linear (t+1)-path.
 
-    Scans the edges at the parallel vertex v for one meeting the cycle's
-    closure in at most one vertex, then walks the cycle from the meeting
-    point, and returns the linear (t+1)-path's context.  Absence means
-    every such edge meets the closure twice, which caps d_H(v) at
-    C(2t+2, 2).
+    W must be a valid cycle-plus of H, as closure_witness returns; it is
+    not validated again.  Scans the edges {v, a, b}, a < b, at the parallel
+    vertex v, read from its pair links, for one meeting the cycle's closure
+    in at most one vertex, then walks the cycle from the meeting point,
+    and returns the linear (t+1)-path's context.  Absence means every such
+    edge meets the closure twice, which caps d_H(v) at C(2t+2, 2).
     """
-    W.validate(H)
     cyc = W.cycle_vertices()
     L = len(cyc)
     t = W.path.length
-    X = set(cyc)
     v = W.parallel
     pos = {u: i for i, u in enumerate(cyc)}
-    for e in H.incident_edges(v):
-        rest = [u for u in e if u != v]
-        inside = [u for u in rest if u in X]
-        if len(inside) == 2:
-            continue
-        if len(inside) == 0:
-            v1, v2 = sorted(rest)
-            seq = (v2, v1, v, cyc[2 * t]) + cyc[: 2 * t - 1]
+    for a in range(H.n):
+        for b in mask_vertices(H.link(v, a) & (-2 << a)):  # b > a: each edge once
+            inside = [u for u in (a, b) if u in pos]
+            if len(inside) == 2:
+                continue
+            if len(inside) == 0:
+                seq = (b, a, v, cyc[2 * t]) + cyc[: 2 * t - 1]
+                return _checked(H, seq, t + 1, "unfolded")
+            xi = inside[0]
+            vp = b if xi == a else a
+            i = pos[xi]
+            if i % 2 == 0:
+                seq = (v, vp) + tuple(cyc[(i + j) % L] for j in range(2 * t + 1))
+            else:
+                seq = (v, vp, cyc[i], cyc[i - 1]) + tuple(
+                    cyc[(i + 1 + j) % L] for j in range(2 * t - 1)
+                )
             return _checked(H, seq, t + 1, "unfolded")
-        xi = inside[0]
-        vp = rest[0] if rest[1] == xi else rest[1]
-        i = pos[xi]
-        if i % 2 == 0:
-            seq = (v, vp) + tuple(cyc[(i + j) % L] for j in range(2 * t + 1))
-        else:
-            seq = (v, vp, cyc[i], cyc[i - 1]) + tuple(
-                cyc[(i + 1 + j) % L] for j in range(2 * t - 1)
-            )
-        return _checked(H, seq, t + 1, "unfolded")
     return None
 
 
@@ -281,7 +279,7 @@ def find_guaranteed(
     while True:
         path = ctx.path
         if path.length >= t:
-            return path.validate(H)
+            return path
         if moves >= budget:
             return ViolationReport(
                 "BudgetExhausted",

@@ -86,9 +86,10 @@ def random_min_degree_graph(n: int, delta: int, seed: int) -> Hypergraph:
 
     One ``random()`` draw per triple, in lexicographic order, keeps each
     triple with probability calibrated so the expected degree is about
-    delta + 3*sqrt(delta).  That draw is the host unless some vertex falls
-    short of delta; vertices still short are then repaired with uniformly
-    random missing triples.  The random numbers, and so the host, depend
+    d + 3*sqrt(d), where d = max(delta, 1), so a host with no degree bound
+    still has edges.  That draw is the host unless some vertex falls short
+    of delta; vertices still short are then repaired with uniformly random
+    missing triples.  The random numbers, and so the host, depend
     only on (n, delta, seed): replays are byte-identical.  The repair bias
     is acceptable: downstream claims quantify over all graphs meeting the
     degree bound.
@@ -101,7 +102,8 @@ def random_min_degree_graph(n: int, delta: int, seed: int) -> Hypergraph:
     if delta > ceiling:
         raise InfeasibleDegreeError(f"delta={delta} exceeds C({n - 1},2)={ceiling}")
     rng = random.Random(seed)
-    p = min(1.0, (delta + 3 * math.sqrt(delta)) / ceiling)
+    d = max(delta, 1)
+    p = min(1.0, (d + 3 * math.sqrt(d)) / ceiling)
     H = _random_3graph(n, p, rng)
     if H.min_degree() >= delta:
         return H
@@ -263,6 +265,8 @@ def lemma_sweep(
     that is n >= 25, 54 and 96 for t = 4, 6 and 8; below that order the
     star family runs no check at all.
     """
+    if family not in ("random", "star"):
+        raise InvalidParameterError(f"no lemma sweep defined for family {family!r}")
     rng = random.Random(seed)
     report = VerificationReport(subject=f"lemma-sweep t={t} family={family}")
     if family == "star" and t % 2:

@@ -64,11 +64,6 @@ class Hypergraph:
 
     # -- basic queries ----------------------------------------------------
 
-    def incident_edges(self, v: int) -> tuple:
-        """All edges containing vertex v, in edge-list order."""
-        self._check_vertex(v)
-        return tuple(e for e in self.edges if v in e)
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return self._degree[v]

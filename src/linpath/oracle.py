@@ -2,7 +2,9 @@
 
 This module is the ground truth for everything else: searches are complete
 backtracking with pruning that provably preserves exhaustiveness.
-Returned witnesses validate themselves before being handed out.
+Each witness is validated once: a path by find_path, a cycle's or
+cycle-plus's path by make_context, whose outside_mask of the endpoints
+gives closing vertices that are distinct, off the path and on host edges.
 
 One depth-first search serves paths, cycles and cycle-plus: a k-cycle, or
 a k-cycle-plus, less one edge is a linear (k-1)-path whose endpoints have
@@ -15,8 +17,7 @@ lexicographic order, and each witness is the lexicographically least
 sequence the search accepts.  A dead partial state is memoized by its
 used-vertex set and its endpoint, which determine all its continuations,
 and also by its start vertex when the endpoints must share neighbors.
-Its test on partial sequences reads the host's links inline; the path it
-returns is closed through its paths.PathContext.
+Its test on partial sequences reads the host's links inline.
 
 The search also breaks symmetry between twins, vertices whose swap is an
 automorphism (the tails, and the heads, of the star constructions).  At
@@ -210,7 +211,7 @@ def find_cycle(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[
     if path is None:
         return None
     ends = make_context(H, path).outside_mask(0, 2 * k - 2)
-    return LinearCycle(path.vertices + (least_vertex(ends),)).validate(H)
+    return LinearCycle(path.vertices + (least_vertex(ends),))
 
 
 def find_cycle_plus(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[CyclePlusWitness]:
@@ -233,11 +234,12 @@ def find_cycle_plus(H: Hypergraph, k: int, budget: Optional[int] = None) -> Opti
 
 def closure_witness(ctx: PathContext) -> Optional[CyclePlusWitness]:
     """The cheap cycle-plus closure of ctx's path: the two least common
-    neighbors of its endpoints outside the path, if they exist."""
+    neighbors of its endpoints outside the path, if they exist; valid
+    because the context's path is, so it is not validated again."""
     outside = ctx.outside_set(0, 2 * ctx.path.length)
     if len(outside) < 2:
         return None
-    return CyclePlusWitness(ctx.path, outside[0], outside[1]).validate(ctx.host)
+    return CyclePlusWitness(ctx.path, outside[0], outside[1])
 
 
 @lru_cache(maxsize=1)

@@ -4,7 +4,7 @@ A linear t-path in a 3-graph is written as a vertex sequence
 x_0, x_1, ..., x_{2t}: the edges are the t consecutive triples
 {x_{2i}, x_{2i+1}, x_{2i+2}}.  A linear k-cycle is the cyclic analogue on
 2k vertices.  Every witness can validate itself against its host graph;
-search and finder code asserts validity on every return.
+search and finder code validates each one once, where it is built.
 
 A PathContext is a validated path on its host, built by make_context.  It
 is the one handle the finder's moves, the lemma's codegree checks and the
@@ -72,8 +72,8 @@ class PathContext:
     common neighbors of x_a, x_b outside the path from the host's pair
     links, d counts them and outside_set decodes them.  M and T partition
     [0, s-1]; N_left / N_right are the endpoint refinement sets; all four
-    are derived from d when first read.  Their disjointness follows from
-    the theorem's hypotheses, so callers report it; it is never asserted.
+    are derived from d when first read.  No caller reads whether N_left
+    and N_right are disjoint; the finder compares their sizes only.
     """
 
     path: LinearPath

@@ -6,8 +6,10 @@ list.  Only usable at tiny scale.  The exceptions are
 ``reference_exhaustive_check``, which keeps ``oracle.find_path`` as the
 decider and differs from the package only in how it walks the hosts: over
 ``reference_edge_masks``, a popcount per vertex and mask, each host built
-and searched; and the two cycle references at the end, the package's
-former cycle searches, kept to test the shared search that replaced them.
+and searched; the two cycle references, the package's former cycle
+searches, kept to test the shared search that replaced them; and the
+unfold reference at the end, the former edge scan of
+``finder.unfold_cycle_plus``.
 """
 
 import math
@@ -183,7 +185,8 @@ def reference_random_min_degree_graph(n, delta, seed):
         raise ValueError(f"delta={delta} exceeds C({n - 1},2)={ceiling}")
     rng = random.Random(seed)
     triples = list(combinations(range(n), 3))
-    p = min(1.0, (delta + 3 * math.sqrt(delta)) / ceiling) if ceiling else 0.0
+    d = max(delta, 1)  # delta = 0 is calibrated as delta = 1
+    p = min(1.0, (d + 3 * math.sqrt(d)) / ceiling) if ceiling else 0.0
     chosen = set()
     deg = [0] * n
     for tr in triples:
@@ -365,4 +368,38 @@ def reference_find_cycle_plus(H: Hypergraph, k: int, budget: Optional[int] = Non
         hit = oracle.closure_witness(make_context(H, path))
         if hit is not None:
             return hit
+    return None
+
+
+# -- reference for the unfold move -------------------------------------------
+
+
+def reference_unfold_cycle_plus(H: Hypergraph, W: CyclePlusWitness) -> Optional[tuple]:
+    """The vertex sequence ``finder.unfold_cycle_plus`` unfolds W into, or
+    None, as it was before it read the pair links: W is validated, and the
+    edges at the parallel vertex v are scanned in edge-list order, for the
+    first one meeting the cycle's closure in at most one vertex."""
+    W.validate(H)
+    cyc = W.cycle_vertices()
+    L = len(cyc)
+    t = W.path.length
+    X = set(cyc)
+    v = W.parallel
+    pos = {u: i for i, u in enumerate(cyc)}
+    for e in (e for e in H.edges if v in e):
+        rest = [u for u in e if u != v]
+        inside = [u for u in rest if u in X]
+        if len(inside) == 2:
+            continue
+        if len(inside) == 0:
+            v1, v2 = sorted(rest)
+            return (v2, v1, v, cyc[2 * t]) + cyc[: 2 * t - 1]
+        xi = inside[0]
+        vp = rest[0] if rest[1] == xi else rest[1]
+        i = pos[xi]
+        if i % 2 == 0:
+            return (v, vp) + tuple(cyc[(i + j) % L] for j in range(2 * t + 1))
+        return (v, vp, cyc[i], cyc[i - 1]) + tuple(
+            cyc[(i + 1 + j) % L] for j in range(2 * t - 1)
+        )
     return None

@@ -6,7 +6,8 @@ checklist.  All numeric expectations are exact; no tolerances.
 """
 
 import random
-from itertools import permutations
+from collections import Counter
+from itertools import chain, islice, permutations
 
 from linpath.cli import main as cli_main
 from linpath.constructions import gen_complete, gen_star, gen_star_plus
@@ -18,10 +19,10 @@ from linpath.finder import (
 )
 from linpath.harness import ExperimentConfig, exhaustive_check, run_trials
 from linpath.hypergraph import Hypergraph, all_triples, build, serialize
-from linpath.oracle import find_path
+from linpath.oracle import find_path, iter_paths
 from linpath.paths import CyclePlusWitness, LinearPath
 
-from bruteforce import brute_force_path, naive_M
+from bruteforce import brute_force_path, naive_M, reference_unfold_cycle_plus
 
 
 def verdict(name: str, ok: bool) -> None:
@@ -247,6 +248,45 @@ def test_08b_unfold_on_complete_hosts():
         if not ok:
             break
     verdict(f"unfold-on-complete-hosts ({total} witnesses)", ok)
+
+
+def _random_witnesses(hosts, seed):
+    """Closures of the first 2- and 3-paths of seeded random hosts, one
+    per ordered pair of distinct outside common neighbors of the ends."""
+    rng = random.Random(seed)
+    for _ in range(hosts):
+        n = rng.randint(7, 11)
+        p = rng.uniform(0.1, 0.5)
+        H = Hypergraph(n, tuple(tr for tr in all_triples(n) if rng.random() < p))
+        for t in (2, 3):
+            for P in islice(iter_paths(H, t), 20):
+                outside = make_context(H, P).outside_set(0, 2 * t)
+                for closing in outside:
+                    for parallel in outside:
+                        if parallel != closing:
+                            yield H, CyclePlusWitness(P, closing, parallel)
+
+
+def test_08c_unfold_matches_edge_scan():
+    # the pair-link scan against the edge-list scan it replaced, on the
+    # witnesses of test_08b (each unfolds) and on random hosts, where some
+    # do not
+    witnesses = chain(
+        _complete_witnesses(9, 2),
+        _complete_witnesses(11, 3, sample=170, seed=808),
+        _random_witnesses(200, 808),
+    )
+    outcomes = Counter()
+    ok = True
+    for H, w in witnesses:
+        hit = unfold_cycle_plus(H, w)
+        got = None if hit is None else hit.path.vertices
+        ok &= got == reference_unfold_cycle_plus(H, w)
+        outcomes[got is None] += 1
+        if not ok:
+            break
+    ok &= outcomes == {False: 183480 + 6556, True: 342}
+    verdict(f"unfold-matches-edge-scan ({sum(outcomes.values())} witnesses)", ok)
 
 
 def test_09_cli_determinism(capsys, tmp_path):

@@ -388,19 +388,12 @@ class TestLemmaStepFailed:
 
 
 class TestValidateOnce:
-    """Each accepted path is validated once, by the make_context call that
-    builds its context; the moves never re-validate a path."""
+    """Each path is validated once, by the make_context call that builds
+    its context; the moves, the closure and the result are never
+    re-validated."""
 
-    @pytest.mark.parametrize("make_host, t, kinds, validates, contexts", [
-        # the final prefix is validated once more; no context for it
-        (lambda: random_min_degree_graph(27, 75, 0), 5, ["extend"] * 4, 6, 5),
-        # a starting context and five accepted paths; the rotate attempts
-        # at both ends read ctx and ctx.reversed(), neither validated
-        (lambda: gen_star_plus(3, 15, 3), 7,
-         ["extend", "extend", "splice", "extend", "extend"], 6, 6),
-    ], ids=["random-n27-t5", "star_plus-n15-t7"])
-    def test_counts(self, monkeypatch, make_host, t, kinds, validates, contexts):
-        H = make_host()
+    @pytest.fixture
+    def counts(self, monkeypatch):
         counts = {"validate": 0, "make_context": 0}
 
         def counting(name, fn):
@@ -413,10 +406,33 @@ class TestValidateOnce:
                             counting("validate", LinearPath.validate))
         monkeypatch.setattr(finder, "make_context",
                             counting("make_context", finder.make_context))
+        return counts
+
+    @pytest.mark.parametrize("make_host, t, kinds, contexts", [
+        (lambda: random_min_degree_graph(27, 75, 0), 5, ["extend"] * 4, 5),
+        # a starting context and five accepted paths; the rotate attempts
+        # at both ends read ctx and ctx.reversed(), neither validated
+        (lambda: gen_star_plus(3, 15, 3), 7,
+         ["extend", "extend", "splice", "extend", "extend"], 6),
+    ], ids=["random-n27-t5", "star_plus-n15-t7"])
+    def test_counts(self, counts, make_host, t, kinds, contexts):
+        H = make_host()
         moves = []
         find_guaranteed(H, t, on_move=lambda kind, length, m: moves.append(kind))
         assert moves == kinds
-        assert counts == {"validate": validates, "make_context": contexts}
+        assert counts == {"validate": contexts, "make_context": contexts}
+
+    def test_unfold_step(self, counts):
+        # the unfolded path only: neither the closure nor its path again
+        ctx = make_context(gen_complete(3, 7), LinearPath((0, 1, 2)))
+        counts["validate"] = 0
+        assert finder._unfold(ctx).path.length == 2
+        assert counts == {"validate": 1, "make_context": 1}
+
+    def test_find_cycle_plus(self, counts):
+        # the least 2-path, by make_context; not the witness built on it
+        assert find_cycle_plus(gen_complete(3, 7), 3) is not None
+        assert counts["validate"] == 1
 
 
 def move_outcome(fn):

@@ -100,12 +100,18 @@ class TestAgainstReferenceGenerator:
     FROZEN = ((23, 29, 0), (23, 29, 40), (25, 44, 1), (28, 1, 0), (28, 1, 2),
               (9, 28, 0), (7, 0, 0))
     # sha256 of the serialized hosts above, concatenated, from the
-    # per-triple loop
-    FROZEN_SHA256 = "851154d8f338c2f63cbf1c7104718fcf58ee3d566b8e3d0cdb0370d3e74b9d92"
+    # per-triple loop; the delta = 0 host is drawn as at delta = 1
+    FROZEN_SHA256 = "f1dbd452b29d746a3fb388e93b802138e799a5bd6b3430eb88f2e03f4afa9079"
 
     def test_frozen_hosts(self):
         text = "".join(serialize(random_min_degree_graph(*a)) for a in self.FROZEN)
         assert hashlib.sha256(text.encode()).hexdigest() == self.FROZEN_SHA256
+
+    @pytest.mark.parametrize("n", [3, 7, 12, 28])
+    def test_no_degree_bound_still_draws_edges(self, n):
+        # delta = 0 is calibrated as delta = 1, not as probability 0
+        for seed in self.SEEDS:
+            assert random_min_degree_graph(n, 0, seed).edges
 
 
 class TestVerifyConstruction:
@@ -369,6 +375,10 @@ class TestLemmaSweep:
         failed = [c for c in report.checks if not c.passed]
         assert [c.name for c in failed] == ["n=25 sample=0 no 5-cycle-plus"]
         assert report.witnesses == [serialize(gen_star(3, 25, 2))]
+
+    def test_unknown_family(self):
+        with pytest.raises(InvalidParameterError, match="'randon'"):
+            lemma_sweep(range(7, 8), t=2, samples=1, seed=0, family="randon")
 
     def test_random_family(self):
         report = lemma_sweep(

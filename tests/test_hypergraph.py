@@ -93,9 +93,7 @@ class TestDegrees:
         for H in enumerate_hypergraphs(5):
             hosts += 1
             for v in range(5):
-                want = tuple(e for e in H.edges if v in e)
-                assert H.incident_edges(v) == want
-                assert H.degree(v) == len(want)
+                assert H.degree(v) == sum(v in e for e in H.edges)
         assert hosts == 1024
 
 
