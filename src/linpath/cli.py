@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import constructions, harness, oracle
-from .errors import LinpathError, SearchExhaustedError
+from .errors import LinpathError, ParseError, SearchExhaustedError
 from .finder import find_guaranteed
 from .hypergraph import Hypergraph, parse, serialize
 from .paths import LinearPath
@@ -25,9 +25,20 @@ def _one_based(vertices) -> str:
 
 
 def _read_graph(path: str) -> Hypergraph:
-    if path == "-":
-        return parse(sys.stdin.read())
-    return parse(Path(path).read_text())
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not text: {exc}") from exc
+    return parse(text)
+
+
+# gen --kind -> the construction it prints, built from the parsed options
+_GEN_KINDS = {
+    "star": lambda args: constructions.gen_star(3, args.n, args.k),
+    "core": lambda args: constructions.gen_core(3, args.n, args.s),
+    "star_plus": lambda args: constructions.gen_star_plus(3, args.n, args.k),
+    "complete": lambda args: constructions.gen_complete(3, args.n),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,8 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit a construction in the text format")
-    gen.add_argument("--kind", required=True,
-                     choices=["star", "core", "star_plus", "complete"])
+    gen.add_argument("--kind", required=True, choices=list(_GEN_KINDS))
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--k", type=int, default=1)
     gen.add_argument("--s", type=int, default=1)
@@ -78,15 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "star":
-        H = constructions.gen_star(3, args.n, args.k)
-    elif args.kind == "core":
-        H = constructions.gen_core(3, args.n, args.s)
-    elif args.kind == "star_plus":
-        H = constructions.gen_star_plus(3, args.n, args.k)
-    else:
-        H = constructions.gen_complete(3, args.n)
-    sys.stdout.write(serialize(H))
+    sys.stdout.write(serialize(_GEN_KINDS[args.kind](args)))
     return 0
 
 

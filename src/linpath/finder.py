@@ -24,12 +24,11 @@ does a step that does not advance (length, |M|); find_guaranteed turns
 each into a LemmaStepFailed report at the path it started from.
 
 Every move takes a PathContext (paths.make_context) alone, reads its host
-from it, and returns the new path's context (or None).  make_context is
-the one place a path is validated, so each accepted path gets one context;
-a new path gets a new context rather than a patched one, because the index
-bookkeeping after a prefix reversal is error-prone.  Moves work at the
-left end; the right end is the same code run on ctx.reversed(), which
-needs no validation.
+from it, and returns the new path's context (or None).  No path built from
+a validated context is validated again, extend included; make_context
+validates the start edge and, through _checked as their postcondition,
+the rearranged paths of splice, rotate and unfold.  Moves work at the left
+end; the right end is ctx.reversed(), which needs no validation.
 
 This module holds only what find_guaranteed runs.  The lemma's codegree
 bounds, and the repairs that check them from the other side, live beside
@@ -52,15 +51,16 @@ from .report import ViolationReport
 def extend(ctx: PathContext) -> Optional[PathContext]:
     """Append an edge with two fresh vertices at the right endpoint, or at
     the left one (via reversal); the lexicographically least fresh pair
-    wins.  Returns the longer path's context, or None when every edge at
-    both endpoints re-enters the path."""
+    wins.  Returns the longer path's context, built from its parts, or None
+    when every edge at both endpoints re-enters the path."""
     H, free = ctx.host, ctx.free
-    for seq in (ctx.path.vertices, ctx.path.reversed().vertices):
+    for seq in (ctx.path.vertices, ctx.path.vertices[::-1]):
         last = seq[-1]
         for w1 in mask_vertices(free):
             fresh = H.link(last, w1) & free  # never holds w1 itself
             if fresh:
-                return make_context(H, LinearPath(seq + (w1, least_vertex(fresh))))
+                w2 = least_vertex(fresh)
+                return PathContext(LinearPath(seq + (w1, w2)), H, free & ~(1 << w1 | 1 << w2))
     return None
 
 

@@ -64,6 +64,8 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.trials < 1:
             raise InvalidParameterError("trial count must be >= 1")
+        if self.oracle_checks < 0:
+            raise InvalidParameterError("oracle check count must be >= 0")
         return self
 
 

@@ -4,10 +4,13 @@ A linear t-path in a 3-graph is written as a vertex sequence
 x_0, x_1, ..., x_{2t}: the edges are the t consecutive triples
 {x_{2i}, x_{2i+1}, x_{2i+2}}.  A linear k-cycle is the cyclic analogue on
 2k vertices.  Every witness can validate itself against its host graph;
-search and finder code validates each one once, where it is built.
+search and finder code validates one only where no validated context
+vouches for it.
 
-A PathContext is a validated path on its host, built by make_context.  It
-is the one handle the finder's moves, the lemma's codegree checks and the
+A PathContext is a validated path on its host.  make_context validates a
+path and builds its context; no path built from a validated context is
+validated again, the finder's extend included.  The context is the one
+handle the finder's moves, the lemma's codegree checks and the
 cycle-plus closure take, and its outside_mask is the one place a path's
 outside common neighbourhoods are read.
 """
@@ -66,7 +69,8 @@ class LinearPath:
 
 @dataclass(frozen=True)
 class PathContext:
-    """A validated path on its host (make_context builds it).
+    """A validated path on its host (make_context builds it, or
+    finder.extend from a validated one).
 
     free masks the vertices off the path; outside_mask(a, b) reads the
     common neighbors of x_a, x_b outside the path from the host's pair

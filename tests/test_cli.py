@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import shlex
 import shutil
@@ -56,6 +57,11 @@ class TestGen:
         assert code == 2
         assert "error:" in err
 
+    def test_unknown_kind_lists_kinds_in_order(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--kind", "ring", "--n", "9")
+        assert (code, out) == (2, "")
+        assert "--kind {star,core,star_plus,complete}" in err
+
 
 class TestOracle:
     def test_path_present(self, capsys, star8):
@@ -89,8 +95,6 @@ class TestOracle:
         assert out.splitlines()[0] == "longest: 2"
 
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(serialize(gen_star(3, 8, 1))))
         code, out, _ = run_cli(capsys, "oracle", "-i", "-", "--path", "2")
         assert code == 0 and out.startswith("path: ")
@@ -99,6 +103,31 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", "-i", "/nonexistent.h3", "--path", "2")
         assert code == 2
         assert "io error:" in err
+
+
+class TestUndecodableInput:
+    """Input that is not text, here a UTF-16 byte-order mark, is a parse
+    error: exit 2 and an error line, never a traceback."""
+
+    COMMANDS = [("oracle", "--path", "2"), ("find", "--length", "3")]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["oracle", "find"])
+    def test_file(self, capsys, tmp_path, command):
+        f = tmp_path / "bom.h3"
+        f.write_bytes(b"\xff\xfep h3 7 0\n")
+        name, *rest = command
+        code, out, err = run_cli(capsys, name, "-i", str(f), *rest)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: input is not text: ")
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["oracle", "find"])
+    def test_stdin(self, capsys, monkeypatch, command):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfep h3 7 0\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        name, *rest = command
+        code, out, err = run_cli(capsys, name, "-i", "-", *rest)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: input is not text: ")
 
 
 class TestBudgetExhausted:
@@ -352,6 +381,11 @@ class TestExperiment:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: need ")
+
+    def test_negative_oracle_checks_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGS, "--oracle-checks", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: oracle check count must be >= 0\n"
 
     def test_no_generator_option(self, capsys):
         # conditioned-random hosts are the only kind of trial

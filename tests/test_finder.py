@@ -77,6 +77,36 @@ class TestExtend:
         assert hit.path.vertices == (2, 1, 0, 5, 6)
         hit.path.validate(H)
 
+    def test_built_context_is_make_contexts(self, monkeypatch):
+        # extend builds its context from its parts, unvalidated; at every
+        # hit inside find_guaranteed it must be the context make_context
+        # builds for the same path on the same host
+        hits = []
+
+        def compared(ctx):
+            new = extend(ctx)
+            if new is not None:
+                ref = make_context(ctx.host, new.path)
+                assert new.host is ctx.host
+                assert (new.path, new.free, new.M) == (ref.path, ref.free, ref.M)
+                hits.append(new.path.length)
+            return new
+
+        monkeypatch.setattr(finder, "extend", compared)
+        for t in range(3, 9):
+            floor = theorem_threshold(0, t)[1]
+            bound = theorem_threshold(floor, t)[0]
+            for seed in range(20):
+                find_guaranteed(random_min_degree_graph(floor, bound, seed), t)
+        assert len(hits) == 540
+        # stars at the longest length they have and at the one they lack
+        for k in range(1, 5):
+            for n in (4 * k + 3, 4 * k + 6):
+                for gen, longest in ((gen_star, 2 * k), (gen_star_plus, 2 * k + 1)):
+                    for t in (longest, longest + 1):
+                        find_guaranteed(gen(3, n, k), t)
+        assert len(hits) == 540 + 102
+
 
 class TestRotate:
     def test_gate_arithmetic_absent(self):
@@ -388,9 +418,9 @@ class TestLemmaStepFailed:
 
 
 class TestValidateOnce:
-    """Each path is validated once, by the make_context call that builds
-    its context; the moves, the closure and the result are never
-    re-validated."""
+    """No path built from a validated context is validated again, extend
+    included: validations equal make_context calls, and extend, the
+    closure and the result make none."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -409,11 +439,12 @@ class TestValidateOnce:
         return counts
 
     @pytest.mark.parametrize("make_host, t, kinds, contexts", [
-        (lambda: random_min_degree_graph(27, 75, 0), 5, ["extend"] * 4, 5),
-        # a starting context and five accepted paths; the rotate attempts
-        # at both ends read ctx and ctx.reversed(), neither validated
+        # the starting context only
+        (lambda: random_min_degree_graph(27, 75, 0), 5, ["extend"] * 4, 1),
+        # the starting context and the splice's; the rotate attempts at
+        # both ends read ctx and ctx.reversed(), neither validated
         (lambda: gen_star_plus(3, 15, 3), 7,
-         ["extend", "extend", "splice", "extend", "extend"], 6),
+         ["extend", "extend", "splice", "extend", "extend"], 2),
     ], ids=["random-n27-t5", "star_plus-n15-t7"])
     def test_counts(self, counts, make_host, t, kinds, contexts):
         H = make_host()
