@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import constructions, harness, oracle
-from .errors import LinpathError, ParseError, SearchExhaustedError
+from .errors import InvalidGraphError, LinpathError, SearchExhaustedError
 from .finder import find_guaranteed
 from .hypergraph import Hypergraph, parse, serialize
 from .paths import LinearPath
@@ -28,7 +28,7 @@ def _read_graph(path: str) -> Hypergraph:
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"input is not text: {exc}") from exc
+        raise InvalidGraphError(f"input is not text: {exc}") from exc
     return parse(text)
 
 
@@ -190,6 +190,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # an order too large to index a list by
+        print(f"error: too large to index: {exc}", file=sys.stderr)
         return 2
 
 

@@ -21,13 +21,12 @@ from __future__ import annotations
 from itertools import combinations, islice
 from math import comb
 
-from .errors import InvalidParameterError, NotPairUniformError
-from .hypergraph import Hypergraph
+from .errors import InvalidParameterError
+from .hypergraph import Hypergraph, require_3_uniform
 
 
 def _prefix(r: int, n: int, m: int) -> Hypergraph:
-    if r != 3:
-        raise NotPairUniformError(f"uniformity r={r}: only 3-graphs are supported")
+    require_3_uniform(r)
     return Hypergraph(n, tuple(islice(combinations(range(n), 3), m)))
 
 

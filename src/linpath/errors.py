@@ -1,50 +1,37 @@
-"""Exception hierarchy shared by all linpath modules."""
+"""Exception hierarchy shared by all linpath modules.
+
+One class per fault that a caller tells apart:
+
+* LinpathError -- any refusal; ``cli.main`` prints it and exits 2.
+* InvalidGraphError -- a graph the package refuses: text it cannot parse,
+  a bad edge, an order below 3 or a uniformity other than 3.  Read as a
+  LinpathError by ``cli.main``.
+* InvalidParameterError -- an argument out of its range, a query vertex
+  included.  Read as a LinpathError by ``cli.main``.
+* InvalidPathError -- a sequence that is not a linear path or cycle of
+  its host; ``finder._checked`` turns it into a LemmaStepError.
+* SearchExhaustedError -- a search ran out of its budget; ``cli.main``
+  prints "unknown" and exits 3.
+* LemmaStepError -- a proof-derived move broke its postcondition;
+  ``find_guaranteed`` reports it as LemmaStepFailed.
+"""
 
 
 class LinpathError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EdgeArityError(LinpathError):
-    """An edge does not have exactly 3 vertices."""
-
-
-class VertexOutOfRangeError(LinpathError):
-    """A vertex label is negative or >= n."""
-
-
-class RepeatedVertexError(LinpathError):
-    """An edge contains the same vertex twice."""
-
-
-class DuplicateEdgeError(LinpathError):
-    """The same edge was supplied more than once (graphs are simple)."""
-
-
-class NotPairUniformError(LinpathError):
-    """A hypergraph with r != 3 was requested; only 3-graphs exist."""
-
-
-class ParseError(LinpathError):
-    """Malformed text in the hypergraph file format."""
+class InvalidGraphError(LinpathError):
+    """A graph the package refuses, from text or from an edge list."""
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class InvalidParameterError(LinpathError):
-    """A construction parameter is out of its valid range."""
-
-
-class OrderTooLargeError(LinpathError):
-    """Exhaustive enumeration requested beyond the supported order."""
-
-
-class InfeasibleDegreeError(LinpathError):
-    """Requested minimum degree exceeds the complete-graph ceiling."""
+    """A parameter or query argument is out of its valid range."""
 
 
 class InvalidPathError(LinpathError):
@@ -61,4 +48,3 @@ class LemmaStepError(LinpathError):
     Any occurrence witnesses either an implementation bug or a flaw in the
     underlying argument; it must never be swallowed.
     """
-

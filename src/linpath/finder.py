@@ -242,9 +242,11 @@ def find_guaranteed(
     the step is shown to advance (length, |M|); a move that raises
     LemmaStepError, or does not advance, ends the run as LemmaStepFailed.
     When stuck: LemmaStepFailed if the degree threshold promised a move,
-    HypothesisUnmet otherwise.  There the budget defaults to 16*n^2
-    accepted moves.  Running out of either budget is BudgetExhausted; a
-    negative budget raises InvalidParameterError.
+    HypothesisUnmet otherwise.  There the budget caps accepted moves; with
+    none the run needs no cap, since M lies in range(length) and every
+    step raises (length, |M|) with length < t, so at most (t-1)(t+2)/2
+    moves are accepted.  Running out of either budget is BudgetExhausted;
+    a negative budget raises InvalidParameterError.
     """
     if budget is not None and budget < 0:
         raise InvalidParameterError(f"budget={budget} must be >= 0")
@@ -269,8 +271,6 @@ def find_guaranteed(
 
     if not H.edges:
         return ViolationReport("HypothesisUnmet", "graph has no edges")
-    if budget is None:
-        budget = 16 * H.n * H.n
     # built per call, so that a move replaced on this module is the one tried
     table = (("extend", extend), ("splice", improve_via_codegree),
              ("rotate", _rotate_either_end), ("unfold", _unfold))
@@ -280,7 +280,7 @@ def find_guaranteed(
         path = ctx.path
         if path.length >= t:
             return path
-        if moves >= budget:
+        if budget is not None and moves >= budget:
             return ViolationReport(
                 "BudgetExhausted",
                 f"{moves} accepted moves at length {path.length}",

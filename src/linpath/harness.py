@@ -29,7 +29,7 @@ from .constructions import (
     star_plus_min_degree,
     theorem_threshold,
 )
-from .errors import InfeasibleDegreeError, InvalidParameterError
+from .errors import InvalidParameterError
 from .finder import find_guaranteed, improve_via_codegree
 from .hypergraph import Hypergraph, all_triples, mask_edges, serialize
 from .paths import CyclePlusWitness, LinearPath, PathContext, make_context
@@ -102,7 +102,7 @@ def random_min_degree_graph(n: int, delta: int, seed: int) -> Hypergraph:
         raise InvalidParameterError(f"need min degree >= 0, got {delta}")
     ceiling = comb(n - 1, 2)
     if delta > ceiling:
-        raise InfeasibleDegreeError(f"delta={delta} exceeds C({n - 1},2)={ceiling}")
+        raise InvalidParameterError(f"delta={delta} exceeds C({n - 1},2)={ceiling}")
     rng = random.Random(seed)
     d = max(delta, 1)
     p = min(1.0, (d + 3 * math.sqrt(d)) / ceiling)
@@ -287,7 +287,7 @@ def lemma_sweep(
             # the longest path in star(n, t//2) is t; a random host is
             # searched only once the cheap conditions hold
             strong = (
-                t >= 3 and n >= 2 * t + 17 and H.min_degree() >= g_bound(n, t)
+                t >= 3 and n >= theorem_threshold(n, t)[1] and H.min_degree() >= g_bound(n, t)
                 and (family == "star" or oracle.find_path(H, t + 1) is None)
             )
             if strong:

@@ -26,14 +26,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import (
-    DuplicateEdgeError,
-    EdgeArityError,
-    NotPairUniformError,
-    ParseError,
-    RepeatedVertexError,
-    VertexOutOfRangeError,
-)
+from .errors import InvalidGraphError, InvalidParameterError
 
 
 class Hypergraph:
@@ -65,7 +58,8 @@ class Hypergraph:
     # -- basic queries ----------------------------------------------------
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
+        if not isinstance(v, int) or v < 0 or v >= self.n:
+            raise InvalidParameterError(f"vertex {v} not in [0, {self.n})")
         return self._degree[v]
 
     def link(self, u: int, v: int) -> int:
@@ -89,10 +83,6 @@ class Hypergraph:
                 return False
         a, b, c = e
         return (self._link[a][b] >> c) & 1 == 1
-
-    def _check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or v < 0 or v >= self.n:
-            raise VertexOutOfRangeError(f"vertex {v} not in [0, {self.n})")
 
     # -- equality is (n, edge set); isomorphism is NOT equality ----------
 
@@ -130,32 +120,37 @@ def mask_edges(n: int, mask: int) -> tuple:
     return tuple(triples[i] for i in range(len(triples)) if (mask >> i) & 1)
 
 
+def require_3_uniform(r: int) -> None:
+    """Refuse any uniformity r other than 3: only 3-graphs exist."""
+    if r != 3:
+        raise InvalidGraphError(f"uniformity r={r}: only 3-graphs are supported")
+
+
 def build(r: int, n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     """Validate and construct a simple 3-graph on n vertices.
 
-    r is the uniformity the caller claims, e.g. a file header's h<r>; any
-    r other than 3 raises NotPairUniformError.  Raises EdgeArityError,
-    VertexOutOfRangeError, RepeatedVertexError or DuplicateEdgeError on
-    malformed input; multi-edges are rejected.
+    r is the uniformity the caller claims, e.g. a file header's h<r>.
+    Raises InvalidGraphError for r other than 3, an order below 3, an
+    edge that is not 3 distinct vertices in range, or an edge given twice
+    (graphs are simple).
     """
-    if r != 3:
-        raise NotPairUniformError(f"uniformity r={r}: only 3-graphs are supported")
+    require_3_uniform(r)
     if n < r:
-        raise VertexOutOfRangeError(f"order n={n} smaller than r={r}")
+        raise InvalidGraphError(f"order n={n} smaller than r={r}")
     canon = []
     seen = set()
     for e in edges:
         t = tuple(e)
         if len(t) != r:
-            raise EdgeArityError(f"edge {t} has {len(t)} vertices, expected {r}")
+            raise InvalidGraphError(f"edge {t} has {len(t)} vertices, expected {r}")
         for v in t:
             if not isinstance(v, int) or v < 0 or v >= n:
-                raise VertexOutOfRangeError(f"vertex {v} not in [0, {n})")
+                raise InvalidGraphError(f"vertex {v} not in [0, {n})")
         s = tuple(sorted(t))
         if len(set(s)) != r:
-            raise RepeatedVertexError(f"edge {t} repeats a vertex")
+            raise InvalidGraphError(f"edge {t} repeats a vertex")
         if s in seen:
-            raise DuplicateEdgeError(f"edge {s} supplied twice")
+            raise InvalidGraphError(f"edge {s} supplied twice")
         seen.add(s)
         canon.append(s)
     return Hypergraph(n, tuple(sorted(canon)))
@@ -179,33 +174,33 @@ def parse(text: str) -> Hypergraph:
             continue
         if line.startswith("p"):
             if r is not None:
-                raise ParseError("duplicate header", lineno)
+                raise InvalidGraphError("duplicate header", lineno)
             parts = line.split()
             if len(parts) != 4 or not parts[1].startswith("h"):
-                raise ParseError(f"bad header {line!r}", lineno)
+                raise InvalidGraphError(f"bad header {line!r}", lineno)
             try:
                 r = int(parts[1][1:])
                 n = int(parts[2])
                 m = int(parts[3])
             except ValueError:
-                raise ParseError(f"bad header {line!r}", lineno) from None
+                raise InvalidGraphError(f"bad header {line!r}", lineno) from None
         elif line.startswith("e"):
             if r is None:
-                raise ParseError("edge before header", lineno)
+                raise InvalidGraphError("edge before header", lineno)
             parts = line.split()[1:]
             try:
                 vs = [int(p) - 1 for p in parts]
             except ValueError:
-                raise ParseError(f"bad edge {line!r}", lineno) from None
+                raise InvalidGraphError(f"bad edge {line!r}", lineno) from None
             if any(v < 0 for v in vs):
-                raise VertexOutOfRangeError(f"line {lineno}: labels are 1-based")
+                raise InvalidGraphError("labels are 1-based", lineno)
             edges.append(tuple(vs))
         else:
-            raise ParseError(f"unrecognized line {line!r}", lineno)
+            raise InvalidGraphError(f"unrecognized line {line!r}", lineno)
     if r is None:
-        raise ParseError("missing header")
+        raise InvalidGraphError("missing header")
     if len(edges) != m:
-        raise ParseError(f"header promised {m} edges, found {len(edges)}")
+        raise InvalidGraphError(f"header promised {m} edges, found {len(edges)}")
     return build(r, n, edges)
 
 

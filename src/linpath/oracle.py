@@ -39,7 +39,7 @@ from itertools import permutations
 from math import comb
 from typing import Iterator, Optional
 
-from .errors import InvalidParameterError, OrderTooLargeError, SearchExhaustedError
+from .errors import InvalidParameterError, SearchExhaustedError
 from .hypergraph import Hypergraph, all_triples, least_vertex, mask_edges, mask_vertices
 from .paths import CyclePlusWitness, LinearCycle, LinearPath, PathContext, make_context
 
@@ -262,7 +262,7 @@ def masks_with_triple(n: int) -> tuple:
 
 def _check_order(n: int) -> None:
     if n > 6:
-        raise OrderTooLargeError(f"exhaustive enumeration capped at n=6, got {n}")
+        raise InvalidParameterError(f"exhaustive enumeration capped at n=6, got {n}")
     if n < 3:
         raise InvalidParameterError(f"need n >= 3 for 3-graphs, got {n}")
 

@@ -19,7 +19,7 @@ from math import comb
 from typing import Optional
 
 from linpath import oracle
-from linpath.errors import InvalidParameterError, OrderTooLargeError, SearchExhaustedError
+from linpath.errors import InvalidParameterError, SearchExhaustedError
 from linpath.hypergraph import (
     Hypergraph, all_triples, build, least_vertex, mask_edges, mask_vertices, serialize,
 )
@@ -256,7 +256,7 @@ def reference_edge_masks(n, min_degree=0):
     the flat scan it replaced: every mask is tested, with one popcount per
     vertex."""
     if n > 6:
-        raise OrderTooLargeError(f"exhaustive enumeration capped at n=6, got {n}")
+        raise InvalidParameterError(f"exhaustive enumeration capped at n=6, got {n}")
     if n < 3:
         raise InvalidParameterError(f"need n >= 3 for 3-graphs, got {n}")
     triples = all_triples(n)

@@ -130,6 +130,52 @@ class TestUndecodableInput:
         assert err.startswith("error: input is not text: ")
 
 
+class TestGraphFaults:
+    """Each way a file's graph is refused: exit 2 and one error line."""
+
+    @pytest.mark.parametrize("text, line", [
+        ("p h3 4 1\ne 1 2\n", "edge (0, 1) has 2 vertices, expected 3"),
+        ("p h3 4 1\ne 1 1 2\n", "edge (0, 0, 1) repeats a vertex"),
+        ("p h3 4 2\ne 1 2 3\ne 3 2 1\n", "edge (0, 1, 2) supplied twice"),
+        ("p h3 4 1\ne 0 1 2\n", "line 2: labels are 1-based"),
+        ("p h3 4 1\ne 1 2 5\n", "vertex 4 not in [0, 4)"),
+        ("e 1 2 3\np h3 4 1\n", "line 1: edge before header"),
+        ("p h3 4 2\ne 1 2 3\n", "header promised 2 edges, found 1"),
+        ("p h3 2 0\n", "order n=2 smaller than r=3"),
+    ], ids=["arity", "repeated", "duplicate", "label-0", "label-above-n",
+            "edge-before-header", "count-mismatch", "order-below-3"])
+    def test_exit_2(self, capsys, tmp_path, text, line):
+        f = tmp_path / "bad.h3"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "oracle", "-i", str(f), "--path", "1")
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+class TestOrderTooLargeToIndex:
+    """An order past sys.maxsize cannot size a list: exit 2 and an error
+    line, refused before anything is allocated."""
+
+    HUGE = "99999999999999999999"
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "star", "--n", HUGE, "--k", "1"],
+        ["verify", "--construction", "star", "--n", HUGE, "--k", "1"],
+        ["experiment", "--n", HUGE, "--length", "3", "--min-degree", "1",
+         "--trials", "1", "--seed", "1"],
+    ], ids=["gen", "verify", "experiment"])
+    def test_option(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: too large to index: ")
+
+    def test_header(self, capsys, tmp_path):
+        f = tmp_path / "huge.h3"
+        f.write_text(f"p h3 {self.HUGE} 0\n")
+        code, out, err = run_cli(capsys, "oracle", "-i", str(f), "--path", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: too large to index: ")
+
+
 class TestBudgetExhausted:
     """A search that runs out of its budget has no answer: it reads
     "unknown" on stdout and exits 3, apart from absence (1) and usage (2)."""

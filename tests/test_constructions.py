@@ -15,7 +15,7 @@ from linpath.constructions import (
     star_plus_min_degree,
     theorem_threshold,
 )
-from linpath.errors import InvalidParameterError, NotPairUniformError
+from linpath.errors import InvalidGraphError, InvalidParameterError
 from linpath.oracle import _twins_below
 
 from bruteforce import (
@@ -90,7 +90,7 @@ class TestOtherUniformity:
                 yield subset
 
         monkeypatch.setattr(constructions, "combinations", counting)
-        with pytest.raises(NotPairUniformError):
+        with pytest.raises(InvalidGraphError, match=r"^uniformity r=\d+: only 3-graphs"):
             gen(*args)
         assert drawn == []
 

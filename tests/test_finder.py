@@ -339,6 +339,31 @@ class TestFindGuaranteed:
         assert isinstance(result, ViolationReport)
         assert result.reason == "HypothesisUnmet"
 
+    @staticmethod
+    def threshold_hosts():
+        for t in range(3, 9):
+            n = theorem_threshold(0, t)[1]
+            bound = theorem_threshold(n, t)[0]
+            for seed in range(10):
+                yield random_min_degree_graph(n, bound, seed), t
+
+    @staticmethod
+    def construction_hosts():
+        for gen in (gen_star, gen_star_plus):
+            for k in range(1, 5):
+                for n in (4 * k + 3, 4 * k + 6):
+                    for t in range(2 * k + 1, 2 * k + 4):
+                        yield gen(3, n, k), t
+
+    @pytest.mark.parametrize("hosts", ["threshold", "construction"])
+    def test_accepted_moves_within_state_count(self, hosts):
+        # with no budget the run is capped by its states: M lies in
+        # range(length) and each move raises (length, |M|) below length t
+        for H, t in getattr(self, f"{hosts}_hosts")():
+            moves = []
+            find_guaranteed(H, t, on_move=lambda *step: moves.append(step))
+            assert len(moves) <= (t - 1) * (t + 2) // 2
+
 
 class TestLemmaStepFailed:
     """Every way a t >= 3 run, or the base case, reports LemmaStepFailed.

@@ -6,7 +6,7 @@ import pytest
 
 from linpath import harness, oracle
 from linpath.constructions import gen_star, theorem_threshold
-from linpath.errors import InfeasibleDegreeError, InvalidParameterError
+from linpath.errors import InvalidParameterError
 from linpath.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -43,7 +43,7 @@ class TestRandomMinDegreeGraph:
         assert a != b
 
     def test_infeasible_degree(self):
-        with pytest.raises(InfeasibleDegreeError):
+        with pytest.raises(InvalidParameterError, match=r"^delta=11 exceeds C\(4,2\)=6$"):
             random_min_degree_graph(5, 11, seed=0)
 
     def test_degree_ceiling_reachable(self):

@@ -3,14 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from linpath.errors import (
-    DuplicateEdgeError,
-    EdgeArityError,
-    NotPairUniformError,
-    ParseError,
-    RepeatedVertexError,
-    VertexOutOfRangeError,
-)
+from linpath.errors import InvalidGraphError, InvalidParameterError
 from linpath.hypergraph import all_triples, build, mask_vertices, parse, serialize
 
 from bruteforce import naive_degree, naive_set_degree
@@ -45,19 +38,19 @@ class TestBuild:
         assert len(H.edges) == 1
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(DuplicateEdgeError):
+        with pytest.raises(InvalidGraphError, match=r"^edge \(0, 1, 2\) supplied twice$"):
             build(3, 4, [(0, 1, 2), (0, 2, 1)])
 
     def test_bad_arity(self):
-        with pytest.raises(EdgeArityError):
+        with pytest.raises(InvalidGraphError, match=r"^edge \(0, 1\) has 2 vertices, expected 3$"):
             build(3, 4, [(0, 1)])
 
     def test_vertex_out_of_range(self):
-        with pytest.raises(VertexOutOfRangeError):
+        with pytest.raises(InvalidGraphError, match=r"^vertex 4 not in \[0, 4\)$"):
             build(3, 4, [(0, 1, 4)])
 
     def test_repeated_vertex(self):
-        with pytest.raises(RepeatedVertexError):
+        with pytest.raises(InvalidGraphError, match=r"^edge \(0, 1, 1\) repeats a vertex$"):
             build(3, 4, [(0, 1, 1)])
 
     def test_unsorted_input_canonicalized(self):
@@ -68,6 +61,11 @@ class TestBuild:
 class TestDegrees:
     def test_k4_vertex_degree(self):
         assert k4().degree(0) == 3
+
+    def test_degree_of_a_non_vertex(self):
+        for v in (-1, 4):
+            with pytest.raises(InvalidParameterError, match=rf"^vertex {v} not in \[0, 4\)$"):
+                k4().degree(v)
 
     def test_star_pair_degree(self):
         from linpath.constructions import gen_star
@@ -112,7 +110,7 @@ class TestPairNeighborhood:
 
     def test_requires_r3(self):
         # pair neighbourhoods exist only in 3-graphs, the only kind build makes
-        with pytest.raises(NotPairUniformError):
+        with pytest.raises(InvalidGraphError, match=r"^uniformity r=4: only 3-graphs"):
             build(4, 5, [(0, 1, 2, 3)])
 
 
@@ -128,19 +126,19 @@ class TestSerialization:
         assert parse(serialize(H)) == H
 
     def test_parse_repeated_vertex(self):
-        with pytest.raises(RepeatedVertexError):
+        with pytest.raises(InvalidGraphError, match=r"^edge \(0, 0, 1\) repeats a vertex$"):
             parse("p h3 3 1\ne 1 1 2\n")
 
     def test_parse_bad_header(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidGraphError, match=r"^line 1: bad header 'p x3 3 1'$"):
             parse("p x3 3 1\ne 1 2 3\n")
 
     def test_parse_other_uniformity(self):
-        with pytest.raises(NotPairUniformError):
+        with pytest.raises(InvalidGraphError, match=r"^uniformity r=4: only 3-graphs"):
             parse("p h4 4 1\ne 1 2 3 4\n")
 
     def test_parse_edge_count_mismatch(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidGraphError, match=r"^header promised 2 edges, found 1$"):
             parse("p h3 4 2\ne 1 2 3\n")
 
     def test_parse_comments_ignored(self):

@@ -11,7 +11,7 @@ from itertools import combinations, islice
 import pytest
 
 from linpath.constructions import gen_star, gen_star_plus
-from linpath.errors import NotPairUniformError
+from linpath.errors import InvalidGraphError
 from linpath.finder import extend, make_context
 from linpath.hypergraph import Hypergraph, all_triples, build, mask_vertices
 from linpath.oracle import (
@@ -134,13 +134,13 @@ class TestHasEdge:
     def test_other_uniformity(self):
         # only 3-graphs are built, so every host has pair links
         for r, n in ((4, 7), (2, 5)):
-            with pytest.raises(NotPairUniformError):
+            with pytest.raises(InvalidGraphError, match=rf"^uniformity r={r}: only 3-graphs"):
                 gen_star(r, n, 1)
 
     def test_link_needs_r3(self):
         # pair links exist only on 3-graphs: a 4-graph is refused before
         # any link could be asked of it
-        with pytest.raises(NotPairUniformError):
+        with pytest.raises(InvalidGraphError, match=r"^uniformity r=4: only 3-graphs"):
             build(4, 7, [(0, 1, 2, 3)])
         H = gen_star(3, 7, 1)
         edge_set = set(H.edges)

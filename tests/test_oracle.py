@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from linpath.constructions import gen_complete, gen_core, gen_star, gen_star_plus
-from linpath.errors import InvalidParameterError, OrderTooLargeError, SearchExhaustedError
+from linpath.errors import InvalidParameterError, SearchExhaustedError
 from linpath.hypergraph import Hypergraph, all_triples, build, mask_edges
 from linpath.oracle import (
     edge_mask_set,
@@ -221,11 +221,12 @@ class TestEnumeration:
             assert edge_mask_set(6, d) == sum(1 << m for m in reference_edge_masks(6, d))
 
     def test_order_cap(self):
-        with pytest.raises(OrderTooLargeError):
+        capped = r"^exhaustive enumeration capped at n=6, got 7$"
+        with pytest.raises(InvalidParameterError, match=capped):
             next(enumerate_hypergraphs(7))
-        with pytest.raises(OrderTooLargeError):
+        with pytest.raises(InvalidParameterError, match=capped):
             edge_mask_set(7)
-        with pytest.raises(OrderTooLargeError):
+        with pytest.raises(InvalidParameterError, match=capped):
             masks_with_path(7, 2)
 
     def test_order_floor(self):
