@@ -21,7 +21,9 @@ guessing, because that outcome would witness a bug.  A move that breaks
 its own postcondition (a sequence that is not a path of the promised
 length, a rotation whose M-set does not grow) raises LemmaStepError, as
 does a step that does not advance (length, |M|); find_guaranteed turns
-each into a LemmaStepFailed report at the path it started from.
+each into a LemmaStepFailed report at the path it started from.  |M| is
+read only when a step keeps its length, or when on_move asks for it: a
+longer path has advanced whatever its M.
 
 Every move takes a PathContext (paths.make_context) alone, reads its host
 from it, and returns the new path's context (or None).  No path built from
@@ -56,11 +58,15 @@ def extend(ctx: PathContext) -> Optional[PathContext]:
     H, free = ctx.host, ctx.free
     for seq in (ctx.path.vertices, ctx.path.vertices[::-1]):
         last = seq[-1]
-        for w1 in mask_vertices(free):
+        rest = free
+        while rest:  # the free vertices, lowest first, decoded one at a time
+            low = rest & -rest
+            rest ^= low
+            w1 = low.bit_length() - 1
             fresh = H.link(last, w1) & free  # never holds w1 itself
             if fresh:
                 w2 = least_vertex(fresh)
-                return PathContext(LinearPath(seq + (w1, w2)), H, free & ~(1 << w1 | 1 << w2))
+                return PathContext(LinearPath(seq + (w1, w2)), H, free & ~(low | 1 << w2))
     return None
 
 
@@ -133,12 +139,18 @@ def _splice_connector(ctx: PathContext, k: int) -> Optional[tuple]:
 
 def _distinct_pair(first: int, second: int):
     """The first (y, z) with y in first, z in second and y != z, scanning y
-    and then z upwards; None when there is none.  Both are vertex masks."""
-    for y in mask_vertices(first):
-        z = second & ~(1 << y)
-        if z:
-            return y, least_vertex(z)
-    return None
+    and then z upwards; None when there is none.  Both are vertex masks.
+
+    The least y of first fails only when second is exactly {y}; then the
+    next y of first, if any, pairs with that y."""
+    if not (first and second):
+        return None
+    y = least_vertex(first)
+    z = second & ~(1 << y)
+    if z:
+        return y, least_vertex(z)
+    others = first & ~(1 << y)
+    return (least_vertex(others), y) if others else None
 
 
 def improve_via_codegree(ctx: PathContext) -> Optional[PathContext]:
@@ -163,9 +175,10 @@ def improve_via_codegree(ctx: PathContext) -> Optional[PathContext]:
         if pick is not None:
             y, z = pick
             return _checked(ctx.host, _splice_odd(x, k, y, z), t + 1, "spliced")
+    ends = (ctx, ctx.reversed())
     for k in range(t):
         # the right end's configuration at k is the left one's at t-1-k
-        for end, kk in ((ctx, k), (ctx.reversed(), t - 1 - k)):
+        for end, kk in zip(ends, (k, t - 1 - k)):
             seq = _splice_connector(end, kk)
             if seq is not None:
                 return _checked(ctx.host, seq, t + 1, "spliced")
@@ -241,6 +254,8 @@ def find_guaranteed(
     context wins.  That context serves every later step on its path, once
     the step is shown to advance (length, |M|); a move that raises
     LemmaStepError, or does not advance, ends the run as LemmaStepFailed.
+    A longer path advances whatever its M, so |M| is read only when a step
+    keeps its length, or for on_move, which gets (kind, length, |M|).
     When stuck: LemmaStepFailed if the degree threshold promised a move,
     HypothesisUnmet otherwise.  There the budget caps accepted moves; with
     none the run needs no cap, since M lies in range(length) and every
@@ -293,17 +308,19 @@ def find_guaranteed(
                     break
             if new_ctx is None:
                 break  # no move applies
-            mark = (path.length, len(ctx.M))
-            new_mark = (new_ctx.path.length, len(new_ctx.M))
-            if new_mark <= mark:
-                raise LemmaStepError(
-                    f"move {kind} did not advance (length, |M|): {mark} -> {new_mark}"
-                )
+            # |M| decides only a step that keeps the length
+            if new_ctx.path.length <= path.length:
+                mark = (path.length, len(ctx.M))
+                new_mark = (new_ctx.path.length, len(new_ctx.M))
+                if new_mark <= mark:
+                    raise LemmaStepError(
+                        f"move {kind} did not advance (length, |M|): {mark} -> {new_mark}"
+                    )
         except LemmaStepError as exc:
             return ViolationReport("LemmaStepFailed", str(exc), ctx)
         moves += 1
         if on_move is not None:
-            on_move(kind, *new_mark)
+            on_move(kind, new_ctx.path.length, len(new_ctx.M))
         ctx = new_ctx
     bound, min_n = theorem_threshold(H.n, t)
     if H.min_degree() >= bound and H.n >= min_n:

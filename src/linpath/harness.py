@@ -167,6 +167,10 @@ def exhaustive_check(n: int, delta: int, t: int) -> VerificationReport:
         raise InvalidParameterError(f"path length t={t} must be >= 1")
     if delta < 0:
         raise InvalidParameterError(f"need min degree >= 0, got {delta}")
+    # no vertex of a 3-graph on n vertices has degree above C(n-1, 2); an
+    # order below 3 is refused by the enumeration
+    if n >= 3 and delta > comb(n - 1, 2):
+        raise InvalidParameterError(f"delta={delta} exceeds C({n - 1},2)={comb(n - 1, 2)}")
     hosts = oracle.edge_mask_set(n, delta)
     missing = hosts & ~oracle.masks_with_path(n, t)
     total = hosts.bit_count()

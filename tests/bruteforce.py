@@ -7,9 +7,10 @@ list.  Only usable at tiny scale.  The exceptions are
 decider and differs from the package only in how it walks the hosts: over
 ``reference_edge_masks``, a popcount per vertex and mask, each host built
 and searched; the two cycle references, the package's former cycle
-searches, kept to test the shared search that replaced them; and the
-unfold reference at the end, the former edge scan of
-``finder.unfold_cycle_plus``.
+searches, kept to test the shared search that replaced them; the
+finder's former full-mask scans in ``reference_extend`` and
+``reference_distinct_pair``, which read the pair links; and the unfold
+reference at the end, the former edge scan of ``finder.unfold_cycle_plus``.
 """
 
 import math
@@ -108,7 +109,7 @@ def naive_pair_neighborhood(H, u, v):
     ))
 
 
-def reference_extend(H, vertices):
+def naive_extend(H, vertices):
     """Vertex sequence of the extended path, or None: the least fresh pair
     (w1, w2) over every edge at the right endpoint, else the same at the
     left endpoint of the reversed sequence."""
@@ -127,6 +128,38 @@ def reference_extend(H, vertices):
                     best = (w1, w2)
         if best is not None:
             return seq + best
+    return None
+
+
+# -- references for the finder's lazy scans --------------------------------
+#
+# ``finder.extend`` and ``finder._distinct_pair`` as they were before they
+# stopped decoding whole masks: each decodes a mask with ``mask_vertices``
+# and scans it upwards.
+
+
+def reference_extend(ctx):
+    """Vertex sequence of ``finder.extend(ctx)``'s path, or None: every free
+    vertex w1 is decoded and scanned upwards for the first whose link with
+    the endpoint meets the free set, at the right end and then at the left
+    end of the reversed sequence."""
+    H, free = ctx.host, ctx.free
+    for seq in (ctx.path.vertices, ctx.path.vertices[::-1]):
+        last = seq[-1]
+        for w1 in mask_vertices(free):
+            fresh = H.link(last, w1) & free
+            if fresh:
+                return seq + (w1, least_vertex(fresh))
+    return None
+
+
+def reference_distinct_pair(first, second):
+    """The first (y, z) with y in first, z in second and y != z, scanning
+    every y of first upwards and then z; None when there is none."""
+    for y in mask_vertices(first):
+        z = second & ~(1 << y)
+        if z:
+            return y, least_vertex(z)
     return None
 
 

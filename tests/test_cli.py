@@ -377,7 +377,8 @@ class TestVerify:
         assert code == 1
         assert "result: FAIL" in out
 
-    @pytest.mark.parametrize("delta, length", [("7", "0"), ("0", "0"), ("-3", "2")])
+    @pytest.mark.parametrize("delta, length", [("7", "0"), ("0", "0"), ("-3", "2"),
+                                               ("99", "2")])
     def test_exhaustive_bad_length_or_degree_exit_2(self, capsys, delta, length):
         code, out, err = run_cli(
             capsys, "verify", "--exhaustive", "--n", "5",
@@ -385,6 +386,21 @@ class TestVerify:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+    def test_exhaustive_degree_ceiling(self, capsys):
+        # C(4, 2) = 6 is the largest degree on 5 vertices: only the complete
+        # 3-graph reaches it, and one degree more is refused as bad input
+        code, out, _ = run_cli(
+            capsys, "verify", "--exhaustive", "--n", "5",
+            "--min-degree", "6", "--length", "2",
+        )
+        assert code == 0
+        assert "check graphs_checked: expected >=1 observed 1 PASS" in out
+        code, out, err = run_cli(
+            capsys, "verify", "--exhaustive", "--n", "5",
+            "--min-degree", "7", "--length", "1",
+        )
+        assert (code, out, err) == (2, "", "error: delta=7 exceeds C(4,2)=6\n")
 
     def test_needs_a_mode(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "5")

@@ -20,10 +20,10 @@ from linpath.finder import (
 from linpath.harness import check_lemma_bounds, crossing_cycle_plus, random_min_degree_graph
 from linpath.hypergraph import Hypergraph, all_triples, build
 from linpath.oracle import find_cycle_plus, find_path, iter_paths
-from linpath.paths import CyclePlusWitness, LinearPath
+from linpath.paths import CyclePlusWitness, LinearPath, PathContext
 from linpath.report import ViolationReport
 
-from bruteforce import reference_context
+from bruteforce import reference_context, reference_distinct_pair, reference_extend
 
 
 def bare_path_graph(t, n=None):
@@ -80,11 +80,13 @@ class TestExtend:
     def test_built_context_is_make_contexts(self, monkeypatch):
         # extend builds its context from its parts, unvalidated; at every
         # hit inside find_guaranteed it must be the context make_context
-        # builds for the same path on the same host
+        # builds for the same path on the same host.  At every call, hit or
+        # None, it must pick what the full-mask scan it replaced picks
         hits = []
 
         def compared(ctx):
             new = extend(ctx)
+            assert (new and new.path.vertices) == reference_extend(ctx)
             if new is not None:
                 ref = make_context(ctx.host, new.path)
                 assert new.host is ctx.host
@@ -106,6 +108,29 @@ class TestExtend:
                     for t in (longest, longest + 1):
                         find_guaranteed(gen(3, n, k), t)
         assert len(hits) == 540 + 102
+
+
+class TestDistinctPair:
+    """The closed-form pick against the scan over every y it replaced."""
+
+    def test_all_six_bit_masks(self):
+        for first in range(64):
+            for second in range(64):
+                want = reference_distinct_pair(first, second)
+                assert finder._distinct_pair(first, second) == want
+
+    def test_random_forty_bit_masks(self):
+        # sparse masks, and second a single vertex of first, reach the
+        # pair whose y is not the least vertex of first
+        rng = random.Random(29)
+        for _ in range(20_000):
+            first = second = 0
+            for v in range(40):
+                first |= (rng.random() < 0.1) << v
+                second |= (rng.random() < 0.05) << v
+            if first and rng.random() < 0.3:
+                second = 1 << rng.choice([v for v in range(40) if first >> v & 1])
+            assert finder._distinct_pair(first, second) == reference_distinct_pair(first, second)
 
 
 class TestRotate:
@@ -334,6 +359,42 @@ class TestFindGuaranteed:
         assert marks == sorted(marks)
         assert all(a < b for a, b in zip(marks, marks[1:]))
 
+    def test_extend_only_run_reads_no_codegree(self, monkeypatch):
+        # every step of this run lengthens the path, so |M| decides none
+        # of them: with no on_move, no outside codegree is counted
+        calls = []
+        d = PathContext.d
+        monkeypatch.setattr(PathContext, "d", lambda ctx, a, b: calls.append(a) or d(ctx, a, b))
+        hit = find_guaranteed(random_min_degree_graph(27, 75, 0), 5)
+        assert isinstance(hit, LinearPath) and hit.length == 5
+        assert calls == []
+
+    @pytest.mark.parametrize("make_host, t", [
+        (lambda: random_min_degree_graph(27, 75, 0), 5),
+        (lambda: gen_star_plus(3, 15, 3), 7),
+    ], ids=["random-n27-t5", "star_plus-n15-t7"])
+    def test_reported_m_is_the_paths(self, monkeypatch, make_host, t):
+        # on_move gets each accepted path's |M| as make_context counts it
+        H = make_host()
+        paths = []
+
+        def recording(move):
+            def wrapper(ctx):
+                new = move(ctx)
+                if new is not None:
+                    paths.append(new.path)
+                return new
+            return wrapper
+
+        for name in ("extend", "improve_via_codegree", "_rotate_either_end", "_unfold"):
+            monkeypatch.setattr(finder, name, recording(getattr(finder, name)))
+        steps = []
+        find_guaranteed(H, t, on_move=lambda *step: steps.append(step))
+        assert len(steps) == len(paths) > 0
+        assert [step[1:] for step in steps] == [
+            (P.length, len(make_context(H, P).M)) for P in paths
+        ]
+
     def test_edgeless(self):
         result = find_guaranteed(build(3, 25, []), 3)
         assert isinstance(result, ViolationReport)
@@ -414,6 +475,20 @@ class TestLemmaStepFailed:
             "LemmaStepFailed", "move extend did not advance (length, |M|): (1, 1) -> (1, 1)"
         )
         assert result.snapshot.path == LinearPath((0, 1, 2))
+
+    def test_move_that_shortens_the_path(self, monkeypatch):
+        # the second extend hands back the path's first edge: a shorter
+        # path fails the advance check whatever its |M|
+        H = gen_complete(3, 7)
+        monkeypatch.setattr(finder, "extend", lambda ctx: (
+            extend(ctx) if ctx.path.length < 2
+            else make_context(ctx.host, LinearPath(ctx.path.vertices[:3]))))
+        result = find_guaranteed(H, 3)
+        assert isinstance(result, ViolationReport)
+        assert (result.reason, result.detail) == (
+            "LemmaStepFailed", "move extend did not advance (length, |M|): (2, 2) -> (1, 1)"
+        )
+        assert result.snapshot.path == LinearPath((0, 1, 2, 3, 4))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_move_at_the_threshold(self, monkeypatch, seed):

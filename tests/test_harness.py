@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import islice
+from math import comb
 
 import pytest
 
@@ -188,7 +189,7 @@ class TestExhaustiveCheck:
         assert len(report.witnesses) == len(calls) == 5
 
     @pytest.mark.parametrize("args", [(5, 7, 0), (5, 0, 0), (5, 4, -1), (5, -3, 2),
-                                      (7, -1, 2), (7, 0, 0)])
+                                      (7, -1, 2), (7, 0, 0), (5, 7, 1)])
     def test_bad_length_or_degree_rejected_before_enumerating(self, monkeypatch, args):
         def refuse(*_args):
             raise AssertionError("enumerated despite bad input")
@@ -240,7 +241,6 @@ class TestExhaustiveWitnessReuse:
         (4, 0, 1): "38898622bb3c23beeb3aae5ffc95c5f30dbd787288a9e0fa939990d2964ba66a",
         (5, 0, 3): "a422069c728618117771bfe97427854e0e5cf205ddaf7e14be4efcb29193932f",
         (5, 2, 2): "df10f149d50af558579943f8e6e46a0ccf0f79cc27fbb2440bb8a71edbec6933",
-        (5, 7, 1): "36e0cdfa9a23e48ad037b1fe27ac387555a1857d60ad62517e580e993c35ad8e",
         (6, 4, 2): "fd2b2ee0d5f410dc226d261bb0a6ed8dfa58152ba6fc71bdf0e3816baec3ed96",
         (6, 6, 2): "5211677267301810ef0dd7b634daab41791785faf11db75ef4cae39ba3e7ad71",
         (6, 8, 3): "61a4de9258417e886a775bd5525b08417a76c8546306d480a95d3edcc19fe6f0",
@@ -250,9 +250,14 @@ class TestExhaustiveWitnessReuse:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_text_matches_reference_walk(self, n):
-        # (5, 0, 2) and (5, 0, 3) have more counterexamples than are kept
+        # (5, 0, 2) and (5, 0, 3) have more counterexamples than are kept;
+        # a degree above C(n-1, 2), which no host reaches, is refused
         for delta in range(8):
             for t in (1, 2, 3):
+                if delta > comb(n - 1, 2):
+                    with pytest.raises(InvalidParameterError, match="exceeds"):
+                        exhaustive_check(n, delta, t)
+                    continue
                 got = exhaustive_check(n, delta, t).to_text()
                 assert got == reference_exhaustive_check(n, delta, t).to_text()
 

@@ -24,10 +24,10 @@ from linpath.oracle import (
 from linpath.paths import LinearPath
 
 from bruteforce import (
+    naive_extend,
     naive_pair_neighborhood,
     reference_are_twins,
     reference_context,
-    reference_extend,
     reference_twins_below,
 )
 
@@ -72,7 +72,7 @@ def check_paths(H, paths):
     for P in paths:
         ctx = make_context(H, P)
         hit = extend(ctx)
-        assert (hit.path.vertices if hit else None) == reference_extend(H, P.vertices)
+        assert (hit.path.vertices if hit else None) == naive_extend(H, P.vertices)
         outside, M, T, N_left, N_right = reference_context(H, P.vertices)
         assert (ctx.M, ctx.T, ctx.N_left, ctx.N_right) == (M, T, N_left, N_right)
         # the reversed context, built without validation, is the context
