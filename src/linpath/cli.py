@@ -16,12 +16,8 @@ from pathlib import Path
 from . import constructions, harness, oracle
 from .errors import InvalidGraphError, LinpathError, SearchExhaustedError
 from .finder import find_guaranteed
-from .hypergraph import Hypergraph, parse, serialize
+from .hypergraph import Hypergraph, one_based, parse, serialize
 from .paths import LinearPath
-
-
-def _one_based(vertices) -> str:
-    return " ".join(str(v + 1) for v in vertices)
 
 
 def _read_graph(path: str) -> Hypergraph:
@@ -94,10 +90,10 @@ def _cmd_gen(args) -> int:
 
 # oracle option -> (search, line printed for its witness)
 _ORACLE_SEARCHES = {
-    "path": (oracle.find_path, lambda hit: f"path: {_one_based(hit.vertices)}"),
-    "cycle": (oracle.find_cycle, lambda hit: f"cycle: {_one_based(hit.vertices)}"),
+    "path": (oracle.find_path, lambda hit: f"path: {one_based(hit.vertices)}"),
+    "cycle": (oracle.find_cycle, lambda hit: f"cycle: {one_based(hit.vertices)}"),
     "cycleplus": (oracle.find_cycle_plus, lambda hit: (
-        f"cycleplus: {_one_based(hit.path.vertices)} "
+        f"cycleplus: {one_based(hit.path.vertices)} "
         f"closing {hit.closing + 1} parallel {hit.parallel + 1}")),
 }
 
@@ -114,7 +110,7 @@ def _cmd_oracle(args) -> int:
     print(f"longest: {length}")
     if hit is None:
         return 1
-    print(f"path: {_one_based(hit.vertices)}")
+    print(f"path: {one_based(hit.vertices)}")
     return 0
 
 
@@ -125,7 +121,7 @@ def _cmd_find(args) -> int:
         on_move = lambda kind, length, m: print(f"move: {kind} length={length} M={m}")
     result = find_guaranteed(H, args.length, budget=args.budget, on_move=on_move)
     if isinstance(result, LinearPath):
-        print(f"path: {_one_based(result.vertices)}")
+        print(f"path: {one_based(result.vertices)}")
         return 0
     if result.reason == "BudgetExhausted":
         print(f"unknown: {result.reason} {result.detail}")
@@ -134,7 +130,7 @@ def _cmd_find(args) -> int:
     if H.n <= 12:
         cross = oracle.find_path(H, args.length)
         if cross is not None:
-            print(f"oracle disagrees, path: {_one_based(cross.vertices)}",
+            print(f"oracle disagrees, path: {one_based(cross.vertices)}",
                   file=sys.stderr)
     return 1
 

@@ -31,7 +31,7 @@ from .constructions import (
 )
 from .errors import InvalidParameterError
 from .finder import find_guaranteed, improve_via_codegree
-from .hypergraph import Hypergraph, all_triples, mask_edges, serialize
+from .hypergraph import Hypergraph, all_triples, one_based, serialize
 from .paths import CyclePlusWitness, LinearPath, PathContext, make_context
 from .report import VerificationReport
 
@@ -98,29 +98,32 @@ def random_min_degree_graph(n: int, delta: int, seed: int) -> Hypergraph:
     """
     if n < 3:
         raise InvalidParameterError(f"need n >= 3 for 3-graphs, got {n}")
-    if delta < 0:
-        raise InvalidParameterError(f"need min degree >= 0, got {delta}")
-    ceiling = comb(n - 1, 2)
-    if delta > ceiling:
-        raise InvalidParameterError(f"delta={delta} exceeds C({n - 1},2)={ceiling}")
+    _check_min_degree(n, delta)
     rng = random.Random(seed)
     d = max(delta, 1)
-    p = min(1.0, (d + 3 * math.sqrt(d)) / ceiling)
+    p = min(1.0, (d + 3 * math.sqrt(d)) / comb(n - 1, 2))
     H = _random_3graph(n, p, rng)
     if H.min_degree() >= delta:
         return H
     chosen = set(H.edges)
     deg = [H.degree(v) for v in range(n)]
-    while True:
-        low = next((v for v in range(n) if deg[v] < delta), None)
-        if low is None:
-            break
-        candidates = [tr for tr in all_triples(n) if low in tr and tr not in chosen]
-        tr = rng.choice(candidates)
-        chosen.add(tr)
-        for v in tr:
-            deg[v] += 1
+    for low in range(n):  # degrees only grow: low is the least short vertex
+        while deg[low] < delta:
+            candidates = [tr for tr in all_triples(n) if low in tr and tr not in chosen]
+            tr = rng.choice(candidates)
+            chosen.add(tr)
+            for v in tr:
+                deg[v] += 1
     return Hypergraph(n, tuple(sorted(chosen)))
+
+
+def _check_min_degree(n: int, delta: int) -> None:
+    """Refuse a degree bound below 0 or, for n >= 3, above C(n-1, 2): no
+    vertex of a 3-graph on n vertices has more."""
+    if delta < 0:
+        raise InvalidParameterError(f"need min degree >= 0, got {delta}")
+    if n >= 3 and delta > comb(n - 1, 2):
+        raise InvalidParameterError(f"delta={delta} exceeds C({n - 1},2)={comb(n - 1, 2)}")
 
 
 def verify_construction(kind: str, r: int, n: int, k: int) -> VerificationReport:
@@ -129,27 +132,26 @@ def verify_construction(kind: str, r: int, n: int, k: int) -> VerificationReport
     if kind == "star":
         H = gen_star(r, n, k)
         expected_delta = star_min_degree(n, k)
-        free_len, present_len = 2 * k + 1, 2 * k
-        present_needs = n >= 4 * k + 1
+        free_len = 2 * k + 1
     elif kind == "star_plus":
         H = gen_star_plus(r, n, k)
         expected_delta = star_plus_min_degree(n, k)
-        free_len, present_len = 2 * k + 2, 2 * k + 1
-        present_needs = n >= 4 * k + 3
+        free_len = 2 * k + 2
     else:
         raise InvalidParameterError(f"no certification defined for kind {kind!r}")
+    present_len = free_len - 1  # the longest path, where n fits it
     report = VerificationReport(subject=f"{kind}(r={r}, n={n}, k={k})")
     observed_delta = H.min_degree()
     report.add("min_degree", expected_delta, observed_delta, observed_delta == expected_delta)
     absent = oracle.find_path(H, free_len)
     report.add(f"no_path_len_{free_len}", "absent",
                "absent" if absent is None else "present", absent is None)
-    if present_needs:
+    if n >= 2 * present_len + 1:
         hit = oracle.find_path(H, present_len)
         report.add(f"path_len_{present_len}", "present",
                    "present" if hit is not None else "absent", hit is not None)
         if hit is not None:
-            report.witnesses.append(" ".join(str(v + 1) for v in hit.vertices))
+            report.witnesses.append(one_based(hit.vertices))
     return report
 
 
@@ -161,26 +163,17 @@ def exhaustive_check(n: int, delta: int, t: int) -> VerificationReport:
     No host is searched.  The hosts are one set, ``oracle.edge_mask_set``,
     with a bit per passing edge mask, and ``oracle.masks_with_path`` is the
     set of masks whose host has a t-path.  The counterexamples are the
-    hosts minus that set; the five least are built and serialized.
+    hosts minus that set; ``oracle.enumerate_hypergraphs`` builds the five
+    least, which are serialized.
     """
     if t < 1:
         raise InvalidParameterError(f"path length t={t} must be >= 1")
-    if delta < 0:
-        raise InvalidParameterError(f"need min degree >= 0, got {delta}")
-    # no vertex of a 3-graph on n vertices has degree above C(n-1, 2); an
-    # order below 3 is refused by the enumeration
-    if n >= 3 and delta > comb(n - 1, 2):
-        raise InvalidParameterError(f"delta={delta} exceeds C({n - 1},2)={comb(n - 1, 2)}")
+    _check_min_degree(n, delta)  # an order below 3 is refused by edge_mask_set
     hosts = oracle.edge_mask_set(n, delta)
     missing = hosts & ~oracle.masks_with_path(n, t)
     total = hosts.bit_count()
     passed = total - missing.bit_count()
-    counterexamples: List[str] = []
-    while missing and len(counterexamples) < 5:
-        least = missing & -missing
-        mask = least.bit_length() - 1
-        counterexamples.append(serialize(Hypergraph(n, mask_edges(n, mask))))
-        missing ^= least
+    counterexamples = [serialize(H) for H in islice(oracle.enumerate_hypergraphs(n, missing), 5)]
     report = VerificationReport(subject=f"exhaustive n={n} delta>={delta} t={t}")
     report.add("graphs_checked", ">=1", total, total >= 1)
     report.add("all_contain_path", total, passed, passed == total)
@@ -190,13 +183,13 @@ def exhaustive_check(n: int, delta: int, t: int) -> VerificationReport:
 
 def run_trials(config: ExperimentConfig) -> TrialsResult:
     """One row per trial; a summary row with the success rate closes the
-    CSV.  Failures on instances meeting the degree threshold are preserved
-    beside the CSV in the core text format."""
+    CSV.  The host of every trial reported LemmaStepFailed (a move broke,
+    or the degree hypotheses held and no move applied) is preserved beside
+    the CSV in the core text format."""
     config.validate()
     rows: List[List[str]] = []
     counterexamples: List[Tuple[str, str]] = []
     successes = 0
-    bound, min_n = theorem_threshold(config.n, config.t)
     for trial in range(config.trials):
         tseed = (config.seed * 1_000_003 + trial) & 0xFFFFFFFFFFFFFFFF
         H = random_min_degree_graph(config.n, config.min_degree, tseed)
@@ -222,7 +215,7 @@ def run_trials(config: ExperimentConfig) -> TrialsResult:
             agrees,
             f"{elapsed:.3f}" if config.timing else "",
         ])
-        if not ok and H.min_degree() >= bound and config.n >= min_n:
+        if not ok and result.reason == "LemmaStepFailed":
             counterexamples.append(
                 (f"counterexample_s{tseed}_t{trial}.h3", serialize(H))
             )

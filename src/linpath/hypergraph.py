@@ -156,38 +156,43 @@ def build(r: int, n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     return Hypergraph(n, tuple(sorted(canon)))
 
 
+def one_based(vertices) -> str:
+    """The vertices as text with 1-based labels, space-separated."""
+    return " ".join(str(v + 1) for v in vertices)
+
+
 def serialize(H: Hypergraph) -> str:
     """Bit-exact text form: header then lexicographically sorted edges."""
     lines = [f"p h3 {H.n} {len(H.edges)}"]
     for e in H.edges:
-        lines.append("e " + " ".join(str(v + 1) for v in e))
+        lines.append("e " + one_based(e))
     return "\n".join(lines) + "\n"
 
 
 def parse(text: str) -> Hypergraph:
-    """Inverse of :func:`serialize`; accepts comments and any edge order."""
+    """Inverse of :func:`serialize`; accepts comments and any edge order.
+    A line's tag is its whole first token, ``p`` or ``e``."""
     r = n = m = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
+        tag, *parts = line.split()
+        if tag == "p":
             if r is not None:
                 raise InvalidGraphError("duplicate header", lineno)
-            parts = line.split()
-            if len(parts) != 4 or not parts[1].startswith("h"):
+            if len(parts) != 3 or not parts[0].startswith("h"):
                 raise InvalidGraphError(f"bad header {line!r}", lineno)
             try:
-                r = int(parts[1][1:])
-                n = int(parts[2])
-                m = int(parts[3])
+                r = int(parts[0][1:])
+                n = int(parts[1])
+                m = int(parts[2])
             except ValueError:
                 raise InvalidGraphError(f"bad header {line!r}", lineno) from None
-        elif line.startswith("e"):
+        elif tag == "e":
             if r is None:
                 raise InvalidGraphError("edge before header", lineno)
-            parts = line.split()[1:]
             try:
                 vs = [int(p) - 1 for p in parts]
             except ValueError:

@@ -194,6 +194,15 @@ def longest_path(H: Hypergraph, cap: int, budget: Optional[int] = None):
     return best_t, best
 
 
+def _closed(H: Hypergraph, k: int, close: int, budget: Optional[int]) -> Optional[PathContext]:
+    """The context of the least (k-1)-path whose endpoints have ``close``
+    common neighbors off it (1 for a k-cycle, 2 a k-cycle-plus), or None."""
+    if k < 3:
+        raise InvalidParameterError(f"cycle length k={k} must be >= 3")
+    path = _search(H, k - 1, close, budget)
+    return None if path is None else make_context(H, path)
+
+
 def find_cycle(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[LinearCycle]:
     """A linear k-cycle, or None on proven absence.
 
@@ -205,13 +214,9 @@ def find_cycle(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[
     whose connectors z_2, z_4, .. all lie above z_0.  ``budget`` caps the
     expanded states of the shared search, as in :func:`find_path`.
     """
-    if k < 3:
-        raise InvalidParameterError(f"cycle length k={k} must be >= 3")
-    path = _search(H, k - 1, 1, budget)
-    if path is None:
-        return None
-    ends = make_context(H, path).outside_mask(0, 2 * k - 2)
-    return LinearCycle(path.vertices + (least_vertex(ends),))
+    ctx = _closed(H, k, 1, budget)
+    return None if ctx is None else LinearCycle(
+        ctx.path.vertices + (least_vertex(ctx.outside_mask(0, 2 * k - 2)),))
 
 
 def find_cycle_plus(H: Hypergraph, k: int, budget: Optional[int] = None) -> Optional[CyclePlusWitness]:
@@ -226,10 +231,8 @@ def find_cycle_plus(H: Hypergraph, k: int, budget: Optional[int] = None) -> Opti
     ``budget`` caps the expanded states of the shared search, as in
     :func:`find_path`.
     """
-    if k < 3:
-        raise InvalidParameterError(f"cycle length k={k} must be >= 3")
-    path = _search(H, k - 1, 2, budget)
-    return None if path is None else closure_witness(make_context(H, path))
+    ctx = _closed(H, k, 2, budget)
+    return None if ctx is None else closure_witness(ctx)
 
 
 def closure_witness(ctx: PathContext) -> Optional[CyclePlusWitness]:
@@ -296,14 +299,12 @@ def edge_mask_set(n: int, min_degree: int = 0) -> int:
     return passing
 
 
-def enumerate_hypergraphs(n: int, min_degree: int = 0) -> Iterator[Hypergraph]:
-    """Every labeled simple 3-graph on n vertices (n <= 6) with minimum
-    degree at least ``min_degree``, each once: one host per set bit of
-    :func:`edge_mask_set`, found in its binary string, in increasing order
-    of the mask.  Only the graphs that pass are built.
-    ``harness.exhaustive_check`` builds none of them: it takes the set
-    difference of :func:`edge_mask_set` and :func:`masks_with_path`."""
-    bits = bin(edge_mask_set(n, min_degree))[:1:-1]  # bit i at index i
+def enumerate_hypergraphs(n: int, masks: int) -> Iterator[Hypergraph]:
+    """The 3-graph on n vertices of each set bit of ``masks``, a set of
+    edge masks like :func:`edge_mask_set`, found in its binary string, in
+    increasing order of the mask; only those hosts are built.  With
+    ``edge_mask_set(n, d)`` it is every 3-graph of minimum degree >= d."""
+    bits = bin(masks)[:1:-1]  # bit i at index i
     mask = bits.find("1")
     while mask >= 0:
         yield Hypergraph(n, mask_edges(n, mask))

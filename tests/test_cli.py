@@ -142,12 +142,46 @@ class TestGraphFaults:
         ("e 1 2 3\np h3 4 1\n", "line 1: edge before header"),
         ("p h3 4 2\ne 1 2 3\n", "header promised 2 edges, found 1"),
         ("p h3 2 0\n", "order n=2 smaller than r=3"),
+        ("p h3 4 0\np h3 4 0\n", "line 2: duplicate header"),
+        ("p h3 four 0\n", "line 1: bad header 'p h3 four 0'"),
+        ("p h3 4 1\ne 1 2 x\n", "line 2: bad edge 'e 1 2 x'"),
+        ("p h3 4 0\nx 1 2 3\n", "line 2: unrecognized line 'x 1 2 3'"),
+        ("c no header\n", "missing header"),
+        # a line's tag is its whole first token, not its first character
+        ("p h3 5 1\ne1 2 3 4\n", "line 2: unrecognized line 'e1 2 3 4'"),
+        ("pp h3 5 0\n", "line 1: unrecognized line 'pp h3 5 0'"),
+        ("p h3 4 1\nedge 1 2 3\n", "line 2: unrecognized line 'edge 1 2 3'"),
     ], ids=["arity", "repeated", "duplicate", "label-0", "label-above-n",
-            "edge-before-header", "count-mismatch", "order-below-3"])
+            "edge-before-header", "count-mismatch", "order-below-3",
+            "duplicate-header", "header-field", "edge-label", "unrecognized",
+            "missing-header", "tag-e1", "tag-pp", "tag-edge"])
     def test_exit_2(self, capsys, tmp_path, text, line):
         f = tmp_path / "bad.h3"
         f.write_text(text)
         code, out, err = run_cli(capsys, "oracle", "-i", str(f), "--path", "1")
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+class TestParameterFaults:
+    """Each length or construction parameter out of its range: exit 2 and
+    one error line."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["oracle", "--path", "0"], "path length t=0 must be >= 1"),
+        (["oracle", "--cycle", "2"], "cycle length k=2 must be >= 3"),
+        (["oracle", "--cycleplus", "2"], "cycle length k=2 must be >= 3"),
+        (["oracle", "--longest", "0"], "cap=0 must be >= 1"),
+        (["find", "--length", "0"], "path length t=0 must be >= 1"),
+        (["gen", "--kind", "star_plus", "--n", "4", "--k", "2"],
+         "gen_star_plus needs k >= 1 and n-k >= r; got r=3 n=4 k=2"),
+        (["gen", "--kind", "complete", "--n", "2"],
+         "gen_complete needs n >= r >= 2; got r=3 n=2"),
+    ], ids=["path-0", "cycle-2", "cycleplus-2", "longest-0", "find-0",
+            "star-plus-n4-k2", "complete-n2"])
+    def test_exit_2(self, capsys, k4, argv, line):
+        if argv[0] != "gen":
+            argv = [argv[0], "-i", k4, *argv[1:]]
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {line}\n")
 
 

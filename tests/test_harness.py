@@ -19,6 +19,7 @@ from linpath.harness import (
 )
 from linpath.hypergraph import Hypergraph, all_triples, build, parse, serialize
 from linpath.paths import CyclePlusWitness, LinearPath
+from linpath.report import ViolationReport
 
 from bruteforce import (
     naive_outside_codegree,
@@ -343,6 +344,29 @@ class TestRunTrials:
     def test_bad_config(self):
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(n=5, t=2, min_degree=1, trials=0, seed=0).validate()
+
+    @pytest.mark.parametrize("reason, kept", [("LemmaStepFailed", 1), ("HypothesisUnmet", 0)])
+    def test_keeps_every_lemma_step_failure(self, monkeypatch, tmp_path, reason, kept):
+        # below the theorem threshold, a report the finder reads as a broken
+        # move is kept; one whose hypotheses are unmet is not
+        hosts = []
+
+        def failing(H, t, budget=None, on_move=None):
+            hosts.append(H)
+            return ViolationReport(reason, "injected")
+
+        monkeypatch.setattr(harness, "find_guaranteed", failing)
+        out = tmp_path / "trials.csv"
+        config = self.config(min_degree=5, trials=1, out=str(out))
+        assert config.min_degree < theorem_threshold(config.n, config.t)[0]
+        result = run_trials(config)
+        assert result.rows[0][5] == reason
+        assert len(result.counterexamples) == kept
+        for name, text in result.counterexamples:
+            assert text == serialize(hosts[0])
+            assert (tmp_path / name).read_text() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["trials.csv"] + [name for name, _ in result.counterexamples])
 
 
 class TestLemmaSweep:

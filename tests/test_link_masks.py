@@ -18,6 +18,7 @@ from linpath.oracle import (
     _are_twins,
     _twins_below,
     closure_witness,
+    edge_mask_set,
     enumerate_hypergraphs,
     iter_paths,
 )
@@ -104,7 +105,7 @@ def check_host(H):
 def test_all_hosts_on_five_vertices():
     # a 2-path spans all 5 vertices, so its context is empty and it cannot
     # grow; every 1-path, in both directions, is checked
-    for H in enumerate_hypergraphs(5):
+    for H in enumerate_hypergraphs(5, edge_mask_set(5)):
         check_host(H)
         check_paths(H, iter_paths(H, 1))
 

@@ -181,14 +181,14 @@ class TestIterPaths:
 
 class TestEnumeration:
     def test_count_n4(self):
-        assert sum(1 for _ in enumerate_hypergraphs(4)) == 16
+        assert sum(1 for _ in enumerate_hypergraphs(4, edge_mask_set(4))) == 16
 
     def test_degree_ceiling_n5(self):
-        assert sum(1 for _ in enumerate_hypergraphs(5, 7)) == 0
+        assert sum(1 for _ in enumerate_hypergraphs(5, edge_mask_set(5, 7))) == 0
 
     def test_frozen_count_n5_delta4(self):
         # regression value, first computed by this exhaustive enumeration
-        count = sum(1 for _ in enumerate_hypergraphs(5, 4))
+        count = sum(1 for _ in enumerate_hypergraphs(5, edge_mask_set(5, 4)))
         assert count == 86
 
     def test_min_degree_filter(self):
@@ -196,7 +196,7 @@ class TestEnumeration:
         # filtering on the edge list
         for n in (3, 4, 5):
             for d in range(8):
-                assert list(enumerate_hypergraphs(n, d)) == list(
+                assert list(enumerate_hypergraphs(n, edge_mask_set(n, d))) == list(
                     reference_enumerate_hypergraphs(n, d)
                 )
 
@@ -223,7 +223,7 @@ class TestEnumeration:
     def test_order_cap(self):
         capped = r"^exhaustive enumeration capped at n=6, got 7$"
         with pytest.raises(InvalidParameterError, match=capped):
-            next(enumerate_hypergraphs(7))
+            next(enumerate_hypergraphs(7, edge_mask_set(7)))
         with pytest.raises(InvalidParameterError, match=capped):
             edge_mask_set(7)
         with pytest.raises(InvalidParameterError, match=capped):
@@ -232,7 +232,7 @@ class TestEnumeration:
     def test_order_floor(self):
         for n in (0, 2):
             with pytest.raises(InvalidParameterError):
-                next(enumerate_hypergraphs(n))
+                next(enumerate_hypergraphs(n, edge_mask_set(n)))
             with pytest.raises(InvalidParameterError):
                 edge_mask_set(n)
             with pytest.raises(InvalidParameterError):
@@ -315,13 +315,13 @@ class TestAgainstBruteForce:
 
     def test_exhaustive_tiny(self):
         # every 3-graph on 5 vertices, both t values
-        for H in enumerate_hypergraphs(5):
+        for H in enumerate_hypergraphs(5, edge_mask_set(5)):
             for t in (1, 2):
                 assert witness(H, t) == brute_force_path(H, t)
 
     def test_iter_paths_order(self):
         # every path, in the lexicographic order of the vertex sequences
-        hosts = list(enumerate_hypergraphs(5))
+        hosts = list(enumerate_hypergraphs(5, edge_mask_set(5)))
         rng = random.Random(53)
         for _ in range(30):
             n = rng.randint(6, 8)
